@@ -580,8 +580,6 @@ def cmd_torture(args) -> int:
 
     if args.budget is not None and args.budget < 1:
         raise SystemExit("--budget must be >= 1 (omit it for an exhaustive sweep)")
-    if args.queue_depth is not None and not args.stream:
-        raise SystemExit("--queue-depth requires --stream")
     config = CampaignConfig(
         ftls=tuple(args.ftls),
         workloads=tuple(args.workloads),
@@ -591,7 +589,6 @@ def cmd_torture(args) -> int:
         budget=args.budget,
         double=args.double,
         write_buffer_pages=args.write_buffer,
-        stream=args.stream,
         queue_depth=args.queue_depth,
     )
     campaign = TortureCampaign(config)
@@ -843,12 +840,9 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="PAGES",
                          help="put a volatile DRAM write buffer of N pages "
                               "in front of the FTL (adds wb_flush points)")
-    torture.add_argument("--stream", action="store_true",
-                         help="replay through the NCQ streaming admission "
-                              "path instead of materialized submission")
     torture.add_argument("--queue-depth", type=int, default=None,
-                         help="bound the streaming admission window "
-                              "(requires --stream)")
+                         help="bound the NCQ admission window "
+                              "(default unbounded)")
     torture.add_argument("--point", metavar="KIND:INDEX",
                          help="replay a single crash point per cell instead "
                               "of sweeping (the repro command a failing "

@@ -13,9 +13,12 @@ requests are still queued elsewhere.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import List
+from operator import attrgetter
+from typing import Iterator, List
 
 import numpy as np
 
@@ -25,13 +28,16 @@ from repro.sim.engine import Engine
 from repro.sim.request import IoOp, IoRequest
 
 
+_ARRIVAL = attrgetter("arrival_us")
+
+
 class StreamOrderError(ValueError):
     """A streamed trace yielded an arrival earlier than its predecessor.
 
     ``submit_stream`` admits lazily from the current clock, so an
     out-of-order trace would silently serve requests in a different
-    order than ``submit_many`` — raised (by default) instead of letting
-    the two paths diverge.  Pass ``on_unordered="normalize"`` to clamp
+    order than their timestamps say — raised (by default) instead.
+    Pass ``on_unordered="normalize"`` to clamp
     late arrivals to the running maximum (FIFO semantics) instead.
     """
 
@@ -127,31 +133,18 @@ class Controller:
 
     def submit(self, request: IoRequest) -> None:
         """Register a request for arrival at its timestamp."""
-        self.engine.schedule_at(request.arrival_us, self._arrive, request)
-
-    def submit_many(self, requests) -> int:
-        """Batch-register requests (one heap repair instead of N sifts).
-
-        Returns the number of requests submitted.
-        """
-        arrive = self._arrive
-        handles = self.engine.schedule_many(
-            (request.arrival_us, arrive, request) for request in requests
-        )
-        return len(handles)
+        self.engine.post(request.arrival_us, self._arrive, request)
 
     def submit_stream(
         self, requests, queue_depth: int | None = None, on_unordered: str = "raise"
     ) -> None:
         """Lazily admit requests from an iterator (NCQ admission model).
 
-        Unlike :meth:`submit_many`, which pre-schedules every arrival
-        (O(trace) heap entries), this pulls from ``requests`` one at a
-        time: at most one not-yet-arrived request is in the event queue,
-        so a multi-million-request trace runs in O(1) controller memory.
-        Arrivals must be time-ordered (the generators and trace parsers
-        all are): out-of-order arrivals would silently serve in a
-        different order than :meth:`submit_many`, so they raise
+        The one bulk admission path: it pulls from ``requests`` one at a
+        time, so at most one not-yet-arrived request is in the event
+        queue and a multi-million-request trace runs in O(1) controller
+        memory.  Arrivals must be time-ordered (the generators and trace
+        parsers all are): an out-of-order arrival raises
         :class:`StreamOrderError` by default.  Parsed traces that are
         legitimately unordered can pass ``on_unordered="normalize"`` to
         clamp late arrivals up to the running maximum (FIFO order; the
@@ -163,16 +156,25 @@ class Controller:
         ``max(completion_now, its arrival time)``.  Its recorded
         response time still runs from the original arrival, so host-side
         queueing delay shows up in the latency stats.  ``None`` means
-        unbounded: every request arrives exactly at its timestamp, and
-        the run is event-for-event identical to :meth:`submit_many`.
+        unbounded: every request arrives exactly at its timestamp.
+
+        A stream paused by ``Engine.run(until=...)`` keeps its place:
+        its un-arrived requests are merged with ``requests`` by arrival
+        time, ties to the earlier call.
         """
         if queue_depth is not None and queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         if on_unordered not in ("raise", "normalize"):
             raise ValueError("on_unordered must be 'raise' or 'normalize'")
-        self._stream = iter(requests)
+        stream = iter(requests)
+        if self._stream is not None:
+            posted = self.engine.withdraw(self._arrive_streamed)
+            self._stream_window -= len(posted)
+            stream = heapq.merge(
+                itertools.chain(posted, self._stream), stream, key=_ARRIVAL
+            )
+        self._stream = stream
         self._stream_depth = queue_depth
-        self._stream_window = 0
         self._stream_deferred = False
         self._stream_last_arrival = -math.inf
         self._stream_normalize = on_unordered == "normalize"
@@ -210,25 +212,34 @@ class Controller:
             arrival if arrival > now else now, self._arrive_streamed, request
         )
 
-    def abort_stream(self) -> None:
+    def abort_stream(self) -> Iterator[IoRequest]:
         """Drop all streaming admission state (power loss mid-stream).
 
         Admitted-but-uncompleted streamed requests vanish with the event
-        queue, exactly like NCQ slots on a real power cut; the
-        not-yet-admitted tail stays in the caller's iterator, so the
-        caller decides what (if anything) to replay after recovery.
+        queue, exactly like NCQ slots on a real power cut.  Returns the
+        requests the host had not issued yet — the one already pulled
+        from the trace but not yet arrived (withdrawn from the event
+        queue), then the rest of the trace — so the caller decides what
+        (if anything) to replay after recovery.
         """
+        rest: Iterator[IoRequest] = iter(())
+        if self._stream is not None:
+            withdrawn = self.engine.withdraw(self._arrive_streamed)
+            for request in withdrawn:
+                request.streamed = False
+            rest = itertools.chain(withdrawn, self._stream)
         self._stream = None
         self._stream_depth = None
         self._stream_window = 0
         self._stream_deferred = False
         self._stream_last_arrival = -math.inf
         self._stream_normalize = False
+        return rest
 
     def _arrive_streamed(self, request: IoRequest) -> None:
         # Pull the successor *before* serving this request so the next
         # arrival is scheduled from the current clock — for monotone
-        # traces this preserves submit_many's arrival processing order.
+        # traces arrivals fire in (arrival time, trace position) order.
         self._admit()
         self._arrive(request)
 
@@ -361,5 +372,5 @@ class Controller:
         else:
             # ENOSPC'd requests still carry a completion time, but their
             # "response" measures rejection, not service — keep them out
-            # of the success moments on both submit paths.
+            # of the success moments.
             self.stats.observe_error(response, request.op is IoOp.WRITE)

@@ -8,7 +8,8 @@ page-addressed requests (or a whole trace), and read the metrics off.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple
 
 from repro.controller.controller import Controller, RequestStats
 from repro.flash.geometry import SSDGeometry
@@ -36,7 +37,6 @@ class SimulatedSSD:
         ftl: str = "dloop",
         write_buffer_pages: Optional[int] = None,
         background_gc: bool = False,
-        telemetry_interval_us: Optional[float] = None,
         stats_interval_us: Optional[float] = None,
         sanitize: bool = False,
         faults: Optional["FaultConfig"] = None,
@@ -85,13 +85,9 @@ class SimulatedSSD:
             from repro.controller.background import BackgroundGc
 
             self.background_gc = BackgroundGc(self.engine, self.ftl, self.controller)
-        # ``stats_interval_us`` is the canonical knob; the historical
-        # ``telemetry_interval_us`` name keeps working as an alias.
         self.telemetry = None
         self.run_stats = None
         self.metrics = None
-        if stats_interval_us is None:
-            stats_interval_us = telemetry_interval_us
         if stats_interval_us is not None:
             from repro.metrics.timeseries import TelemetrySampler
 
@@ -131,13 +127,21 @@ class SimulatedSSD:
         self.controller.submit(request)
 
     def run(self, requests: Iterable[IoRequest] = (), until: Optional[float] = None) -> float:
-        """Submit ``requests`` and run the simulation to completion."""
-        self.controller.submit_many(requests)
-        end = self.engine.run(until=until)
-        if self.sanitizer is not None:
-            # Full coherence sweep once the event queue drains.
-            self.sanitizer.check_now()
-        return end
+        """Submit ``requests`` and run the simulation to completion.
+
+        The requests are admitted through the unbounded NCQ stream in
+        arrival order (a stable sort: equal timestamps keep their list
+        order), whatever order the list gives them in.  Raises
+        ``ValueError`` if one arrives before the current simulated time.
+        """
+        requests = sorted(requests, key=attrgetter("arrival_us"))
+        if requests and requests[0].arrival_us < self.engine.now:
+            raise ValueError(
+                f"cannot run a request arriving at {requests[0].arrival_us} "
+                f"before now ({self.engine.now})"
+            )
+        self.controller.submit_stream(requests)
+        return self._run_engine(until)
 
     def run_stream(
         self,
@@ -177,17 +181,21 @@ class SimulatedSSD:
         self.controller.submit_stream(
             requests, queue_depth=queue_depth, on_unordered=on_unordered
         )
+        return self._run_engine(until)
+
+    def _run_engine(self, until: Optional[float]) -> float:
         try:
             end = self.engine.run(until=until)
         except BaseException:
             # A raise mid-stream (TortureCrash, SanitizerError, ...)
-            # must not leave the NCQ window armed: a later submit_many
-            # replay on the same controller would inherit the stale
-            # admission state.  ``until=`` pauses return normally and
-            # keep the stream resumable.
+            # must not leave the NCQ window armed: a later replay on the
+            # same controller would inherit the stale admission state.
+            # ``until=`` pauses return normally and keep the stream
+            # resumable.
             self.controller.abort_stream()
             raise
         if self.sanitizer is not None:
+            # Full coherence sweep once the event queue drains.
             self.sanitizer.check_now()
         return end
 
@@ -288,12 +296,12 @@ class SimulatedSSD:
         from repro.obs.tracebus import BUS
 
         now = self.engine.now
+        # NCQ admission state is volatile too: admitted-but-uncompleted
+        # streamed requests are gone with the event queue, and so is a
+        # stream still running (run_with_crash hands its rest back).
+        self.controller.abort_stream()
         dropped = self.engine.clear_pending()
         self.controller.outstanding = 0
-        # NCQ admission state is volatile too: admitted-but-uncompleted
-        # streamed requests are gone with the event queue, and the
-        # not-yet-admitted tail stays with whoever owns the iterator.
-        self.controller.abort_stream()
         lost_buffered = 0
         if self.write_buffer is not None:
             lost_buffered = self.write_buffer.discard()
@@ -322,29 +330,26 @@ class SimulatedSSD:
         requests: Iterable[IoRequest],
         crash_at_us: float,
         *,
-        stream: bool = False,
         queue_depth: Optional[int] = None,
-    ) -> dict:
+    ) -> Tuple[dict, Iterator[IoRequest]]:
         """Run until ``crash_at_us``, then power-fail and recover.
 
-        Requests still in flight (or not yet arrived) at the crash
-        instant are lost, exactly as on a real power cut.  With
-        ``stream=True`` the requests are admitted through the NCQ window
-        (:meth:`Controller.submit_stream`); a crash mid-stream drops the
-        admitted-but-uncompleted window and leaves the unconsumed tail
-        in the caller's iterator for post-recovery replay.  Returns the
-        :meth:`crash` summary.
+        The requests are admitted through the NCQ window
+        (:meth:`Controller.submit_stream`, time-ordered).  Requests in
+        flight at the crash instant are lost, exactly as on a real power
+        cut.  Returns the :meth:`crash` summary and the requests the
+        host had not issued yet (see :meth:`Controller.abort_stream`):
+        pass those to :meth:`run_stream` to serve the rest of the trace
+        on the recovered device.
         """
-        if stream:
-            self.controller.submit_stream(iter(requests), queue_depth=queue_depth)
-        else:
-            self.controller.submit_many(requests)
+        self.controller.submit_stream(requests, queue_depth=queue_depth)
         try:
             self.engine.run(until=crash_at_us)
         except BaseException:
             self.controller.abort_stream()
             raise
-        return self.crash()
+        rest = self.controller.abort_stream()
+        return self.crash(), rest
 
     def flush(self) -> float:
         """Drain the write buffer (no-op without one)."""

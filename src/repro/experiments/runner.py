@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -12,10 +13,9 @@ from repro.controller.device import SimulatedSSD
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.sdrpp import sdrpp
 from repro.metrics.wear import WearStats, wear_stats
-from repro.sim.request import IoOp
-from repro.traces.model import TraceRequest
+from repro.traces.model import TraceRequest, WorkloadSpec
+from repro.traces.stream import io_requests
 from repro.traces.synthetic import generate
-from repro.traces.model import WorkloadSpec
 
 
 @dataclass
@@ -102,9 +102,10 @@ def run_simulation(
     report into ``result.extras['sanitizer']``;
     ``faults`` is a :class:`repro.faults.FaultConfig` enabling
     deterministic fault injection (``result.extras['faults']``);
-    ``crash_at_us`` power-fails the device at that simulated time,
-    recovers it, then replays the rest of the trace on the recovered
-    device (``result.extras['crash']``);
+    ``crash_at_us`` power-fails the device at that simulated time and
+    recovers it (``result.extras['crash']``): requests in flight are
+    lost with the power cut, and every request not yet issued is served
+    on the recovered device;
     ``probes`` is a sequence of
     :class:`repro.conformance.rules.ContractProbe` instances attached
     for the measured run (after preconditioning, like the trace writer)
@@ -117,10 +118,9 @@ def run_simulation(
     response times are accumulated by the O(1)-memory streaming stats,
     so multi-million-request traces run in bounded memory.  In stream
     mode ``steady_response_ms`` is the overall mean (steady-state
-    detection needs the full latency series).  ``crash_at_us`` composes
-    with streaming: the admitted-but-uncompleted NCQ window is lost
-    with the power cut and the not-yet-admitted tail of the trace
-    resumes on the recovered device.
+    detection needs the full latency series).  Without it the trace is
+    sorted by arrival, admitted unbounded (``queue_depth`` is ignored)
+    and every response time is kept.
     """
     wall_start = time.perf_counter()  # dl: disable=DL101 — host wall-time metric, not sim state
     ssd = SimulatedSSD(
@@ -137,64 +137,48 @@ def run_simulation(
 
     extras: dict = {}
     tenant_fleet = None
-    if stream:
-        from repro.traces.stream import io_requests
-
-        if tenancy is not None:
-            # Multi-tenant replay: ``trace`` is ignored — the tenant
-            # streams come from the model, already translated into
-            # device LPNs and merged by the DRR scheduler.
-            if crash_at_us is not None:
-                raise ValueError("tenancy does not compose with crash_at_us")
-            from repro.tenancy.scheduler import drr_merge
-            from repro.tenancy.service import build_tenancy
-
-            tenant_fleet = build_tenancy(config.geometry, tenancy)
-            tenant_fleet.router.attach(ssd.controller)
-            stream_iter = drr_merge(tenant_fleet.queues)
-        else:
-            stream_iter = io_requests(trace, config.geometry)
-
-        def _drive() -> float:
-            if crash_at_us is None:
-                return ssd.run_stream(stream_iter, queue_depth=queue_depth)
-            # Power-fail mid-stream.  Swap in the streaming stats first
-            # so pre-crash completions land in the same accumulator the
-            # post-recovery resume uses; the admitted-but-uncompleted
-            # NCQ window dies with the event queue, and the
-            # not-yet-admitted tail is still in the iterator — it
-            # replays on the recovered device (arrivals now in the past
-            # are admitted at the recovery clock).
-            from repro.metrics.streaming import StreamingRequestStats
-
-            if not isinstance(ssd.controller.stats, StreamingRequestStats):
-                ssd.controller.stats = StreamingRequestStats()
-            extras["crash"] = ssd.run_with_crash(
-                stream_iter, crash_at_us, stream=True, queue_depth=queue_depth
-            )
-            return ssd.run_stream(stream_iter, queue_depth=queue_depth)
-    else:
-        if tenancy is not None:
+    if tenancy is not None:
+        # Multi-tenant replay: ``trace`` is ignored — the tenant
+        # streams come from the model, already translated into device
+        # LPNs and merged by the DRR scheduler.
+        if not stream:
             raise ValueError("tenancy requires stream=True")
-        capacity = config.geometry.capacity_bytes
-        requests: List = []
-        for r in trace:
-            offset = r.offset_bytes % capacity
-            size = min(r.size_bytes, capacity - offset)
-            op = IoOp.WRITE if r.is_write else IoOp.READ
-            requests.append(ssd.byte_request(r.arrival_us, offset, size, op))
+        if crash_at_us is not None:
+            raise ValueError("tenancy does not compose with crash_at_us")
+        from repro.tenancy.scheduler import drr_merge
+        from repro.tenancy.service import build_tenancy
 
-        def _drive() -> float:
-            if crash_at_us is None:
-                return ssd.run(requests)
+        tenant_fleet = build_tenancy(config.geometry, tenancy)
+        tenant_fleet.router.attach(ssd.controller)
+        requests = drr_merge(tenant_fleet.queues)
+    else:
+        requests = io_requests(trace, config.geometry)
+    if stream:
+        from repro.metrics.streaming import StreamingRequestStats
+
+        # Swapped before the first request so pre-crash completions
+        # land in the same accumulator the post-recovery resume uses.
+        ssd.controller.stats = StreamingRequestStats()
+    else:
+        # Materialized replay: every request arrives at its timestamp,
+        # in timestamp order, with full per-request latency lists.
+        requests = sorted(requests, key=attrgetter("arrival_us"))
+        queue_depth = None
+
+    def _drive() -> float:
+        rest = requests
+        if crash_at_us is not None:
             # Power-fail mid-trace: requests in flight at the crash
-            # instant are lost; the host "resumes" the remainder of the
-            # trace on the recovered device.
-            survivors = [r for r in requests if r.arrival_us >= crash_at_us]
-            extras["crash"] = ssd.run_with_crash(
-                [r for r in requests if r.arrival_us < crash_at_us], crash_at_us
+            # instant are lost with the event queue; the not-yet-issued
+            # rest of the trace resumes on the recovered device
+            # (arrivals now in the past are admitted at the recovery
+            # clock).
+            extras["crash"], rest = ssd.run_with_crash(
+                requests, crash_at_us, queue_depth=queue_depth
             )
-            return ssd.run(survivors)
+        return ssd.run_stream(
+            rest, queue_depth=queue_depth, streaming_stats=False
+        )
 
     # Attach probes after preconditioning (same reasoning as the trace
     # writer below: score the measured run, not the bulk fill).

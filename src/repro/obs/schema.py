@@ -44,7 +44,6 @@ CAT_CMT = "cmt"
 CAT_FAULT = "fault"
 CAT_ENGINE = "engine"
 CAT_COUNTER = "counter"
-CAT_PERF = "perf"
 CAT_WB = "wb"
 CAT_JOURNAL = "journal"
 CAT_TORTURE = "torture"
@@ -112,9 +111,6 @@ EV_READ_LOSS = "read_loss"
 EV_READ_RETRY = "read_retry"
 EV_RELOCATE = "relocate"
 EV_BLOCK_RETIRED = "block_retired"
-
-# perf (batch-kernel observability)
-EV_BATCH_WINDOW = "batch_window"
 
 # wb (DRAM write buffer)
 EV_WB_FLUSH = "flush"
@@ -476,14 +472,6 @@ _SCHEMAS: Tuple[EventSchema, ...] = (
         modules=("repro.sim.engine",),
         description="event dispatch, named after the callback qualname; "
                     "seq orders same-timestamp events",
-    ),
-    # ---- perf (batch-kernel observability) -------------------------------
-    EventSchema(
-        CAT_PERF, EV_BATCH_WINDOW,
-        {"requests": "count"},
-        ph="X", modules=("repro.traces.stream",), export_only=True,
-        description="one fused-generation chunk: the arrival-time window "
-                    "a batch of requests was produced in",
     ),
     # ---- wb (DRAM write buffer) ------------------------------------------
     EventSchema(

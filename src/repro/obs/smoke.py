@@ -218,29 +218,9 @@ def _scenario_background_gc() -> None:
 
 
 def _scenario_stream() -> None:
-    """Streamed admission: the stream high-water counter + the fused
-    generator's per-chunk ``perf/batch_window`` announcements."""
-    from repro.traces.model import KB, SizeMix, WorkloadSpec
-    from repro.traces.stream import stream_io_requests
-
+    """Streamed admission: the stream high-water counter."""
     ssd = _new_ssd("dloop", stats_interval_us=5_000.0)
     ssd.run_stream(iter(_mixed_workload(ssd.geometry, 400, seed=19)))
-    ssd.verify()
-
-    ssd = _new_ssd("dloop", stats_interval_us=5_000.0)
-    spec = WorkloadSpec(
-        name="smoke-stream",
-        num_requests=400,
-        write_fraction=0.7,
-        request_rate_per_s=10_000.0,
-        size_mix=SizeMix((256, 512), (0.7, 0.3)),
-        footprint_bytes=int(ssd.geometry.capacity_bytes * 0.5),
-        zipf_theta=0.9,
-        chunk_bytes=1 * KB,
-        align_bytes=256,
-        seed=19,
-    )
-    ssd.run_stream(stream_io_requests(spec, ssd.geometry, chunk_requests=128))
     ssd.verify()
 
 

@@ -36,7 +36,7 @@ def run_memcheck(
     from repro.flash.timing import TimingParams
     from repro.perf.workloads import bench_geometry
     from repro.traces.model import KB, SizeMix, WorkloadSpec
-    from repro.traces.stream import stream_io_requests
+    from repro.traces.stream import io_requests, stream_workload
 
     geometry = bench_geometry()
     spec = WorkloadSpec(
@@ -55,7 +55,9 @@ def run_memcheck(
     ssd.precondition(0.6)
 
     wall_start = time.perf_counter()  # dl: disable=DL101 — host-side wall metric
-    ssd.run_stream(stream_io_requests(spec, geometry), queue_depth=queue_depth)
+    ssd.run_stream(
+        io_requests(stream_workload(spec), geometry), queue_depth=queue_depth
+    )
     wall = time.perf_counter() - wall_start  # dl: disable=DL101 — host-side wall metric
 
     peak_mb = _peak_rss_kb() / 1024.0

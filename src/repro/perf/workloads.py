@@ -195,7 +195,7 @@ def _stream_device_dloop(quick: bool) -> BenchOutcome:
     """
     from repro.controller.device import SimulatedSSD
     from repro.traces.model import SizeMix, WorkloadSpec
-    from repro.traces.stream import stream_io_requests
+    from repro.traces.stream import io_requests, stream_workload
 
     geometry = bench_geometry()
     ssd = SimulatedSSD(geometry, TimingParams(), ftl="dloop",
@@ -215,7 +215,9 @@ def _stream_device_dloop(quick: bool) -> BenchOutcome:
         chunk_bytes=64 * 1024,
         seed=0x57BEA8,
     )
-    end = ssd.run_stream(stream_io_requests(spec, geometry), queue_depth=32)
+    end = ssd.run_stream(
+        io_requests(stream_workload(spec), geometry), queue_depth=32
+    )
 
     fp = ftl_fingerprint(ssd.ftl, end)
     fp.update(engine_fingerprint(ssd.engine))

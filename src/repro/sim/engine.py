@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs.tracebus import BUS
 
@@ -106,30 +106,22 @@ class Engine:
             raise ValueError(f"negative delay: {delay}")
         return self.schedule_at(self._now + delay, callback, *args)
 
-    def schedule_many(self, events: Iterable[tuple]) -> List[EventHandle]:
-        """Batch-schedule ``(time, callback, *args)`` items.
+    def withdraw(self, callback: Callable[..., Any]) -> List[Any]:
+        """Take back every not-yet-fired posted ``callback`` event.
 
-        Equivalent to calling :meth:`schedule_at` per item (same
-        sequence numbers, same firing order) with one entry point and a
-        single heap repair: the batch is appended and the heap
-        re-established once, which beats item-by-item sifting for the
-        large request batches drivers submit up front.
+        Returns the withdrawn events' arguments in firing order.  O(queue)
+        per call: for the rare caller that must undo a fire-and-forget
+        :meth:`post` (the controller withdrawing a streamed arrival that
+        has not happened yet), never for per-event use.
         """
-        now = self._now
         heap = self._heap
-        seq_counter = self._seq
-        handles: List[EventHandle] = []
-        for time, callback, *args in events:
-            if time < now:
-                raise ValueError(f"cannot schedule at {time} before now ({now})")
-            seq = next(seq_counter)
-            handle = EventHandle(time, seq, callback, tuple(args))
-            heap.append((time, seq, handle))
-            handles.append(handle)
-        if handles:
+        taken = [e for e in heap if len(e) == 4 and e[2] == callback]
+        if taken:
+            heap[:] = [e for e in heap if not (len(e) == 4 and e[2] == callback)]
             heapq.heapify(heap)
-            self._pending += len(handles)
-        return handles
+            self._pending -= len(taken)
+            taken.sort()
+        return [e[3] for e in taken]
 
     def clear_pending(self) -> int:
         """Cancel every not-yet-fired event (power loss: in-flight work

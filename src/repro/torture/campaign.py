@@ -1,7 +1,7 @@
 """Torture campaigns: systematic crash-point sweeps with recovery checks.
 
 One campaign is a grid of *cells* (FTL × workload × fault plan, plus
-the campaign-wide write-buffer / NCQ-streaming options).  Per cell:
+the campaign-wide write-buffer / NCQ queue-depth options).  Per cell:
 
 1. **Discovery** — replay the cell's trace once with a counting-only
    :class:`~repro.torture.arm.TortureArm` attached; the per-kind event
@@ -77,7 +77,6 @@ class CampaignConfig:
     #: also re-crash each point during recovery (double crash)
     double: bool = False
     write_buffer_pages: Optional[int] = None
-    stream: bool = False
     queue_depth: Optional[int] = None
     precondition_fill: float = 0.7
     footprint_fraction: float = 0.6
@@ -92,7 +91,6 @@ class CampaignConfig:
             "budget": self.budget,
             "double": self.double,
             "write_buffer_pages": self.write_buffer_pages,
-            "stream": self.stream,
             "queue_depth": self.queue_depth,
         }
 
@@ -232,15 +230,10 @@ class TortureCampaign:
         ssd.precondition(cfg.precondition_fill)
         return ssd
 
-    def _run_trace(self, ssd: SimulatedSSD, requests: List[IoRequest]) -> None:
-        if self.config.stream:
-            ssd.run_stream(
-                iter(requests),
-                queue_depth=self.config.queue_depth,
-                streaming_stats=False,
-            )
-        else:
-            ssd.run(requests)
+    def _replay(self, ssd: SimulatedSSD, requests: List[IoRequest]) -> None:
+        ssd.run_stream(
+            requests, queue_depth=self.config.queue_depth, streaming_stats=False
+        )
         if ssd.write_buffer is not None:
             ssd.flush()
 
@@ -252,7 +245,7 @@ class TortureCampaign:
         ssd = self._make_ssd(cell, sanitize=False)
         arm = TortureArm().attach(armed=None, ftl=ssd.ftl)
         try:
-            self._run_trace(ssd, self._fresh_requests(base))
+            self._replay(ssd, self._fresh_requests(base))
             counts = dict(arm.counts)
         finally:
             arm.detach()
@@ -283,7 +276,6 @@ class TortureCampaign:
         ssd.controller.on_complete.append(ledger.completed)
         ssd.controller.on_complete.append(lambda r: done.add(id(r)))
         requests = self._fresh_requests(base)
-        stream_iter = iter(requests) if self.config.stream else None
         # Subscribed last: the sanitizer's shadow model and the ledger
         # must both observe the triggering event before the arm raises.
         arm = TortureArm().attach(armed=point, ftl=ftl)
@@ -291,16 +283,7 @@ class TortureCampaign:
                              double=double)
         try:
             try:
-                if stream_iter is not None:
-                    ssd.run_stream(
-                        stream_iter,
-                        queue_depth=self.config.queue_depth,
-                        streaming_stats=False,
-                    )
-                else:
-                    ssd.run(requests)
-                if ssd.write_buffer is not None:
-                    ssd.flush()
+                self._replay(ssd, requests)
             except TortureCrash:
                 result.fired = True
                 buffered = (
@@ -323,20 +306,13 @@ class TortureCampaign:
                 verdict = check_durability(ftl, ledger, buffered)
                 result.violations = verdict.violations
                 result.excused = len(verdict.excused)
-                # Finish the unacknowledged remainder of the trace: the
-                # recovered device must still be a working drive.
-                if stream_iter is not None:
-                    remaining = list(stream_iter)
-                else:
-                    remaining = [r for r in requests if id(r) not in done]
-                now = ssd.engine.now
-                ssd.run([
-                    IoRequest(max(r.arrival_us, now), r.start_lpn,
-                              r.page_count, r.op)
-                    for r in remaining
-                ])
-                if ssd.write_buffer is not None:
-                    ssd.flush()
+                # Finish the unacknowledged remainder of the trace,
+                # in-flight requests included (arrivals now in the past
+                # are admitted at the recovery clock): the recovered
+                # device must still be a working drive.
+                self._replay(ssd, self._fresh_requests(
+                    [r for r in requests if id(r) not in done]
+                ))
             ftl.verify_integrity()
             ftl_fingerprint(ftl, ssd.engine.now)
         finally:
@@ -442,8 +418,6 @@ class TortureCampaign:
             parts.append("--double")
         if cfg.write_buffer_pages is not None:
             parts.append(f"--write-buffer {cfg.write_buffer_pages}")
-        if cfg.stream:
-            parts.append("--stream")
         if cfg.queue_depth is not None:
             parts.append(f"--queue-depth {cfg.queue_depth}")
         return " ".join(parts)

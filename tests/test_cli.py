@@ -154,3 +154,14 @@ def test_report_without_sweep_axis(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "mean response time" in out  # hbar chart fallback
+
+
+@pytest.mark.parametrize("stream", [False, True])
+def test_simulate_crash_mid_run(capsys, stream):
+    argv = ["simulate", "--ftl", "dloop", "--capacity-mb", "32",
+            "--requests", "300", "--precondition", "0.4",
+            "--crash-at-ms", "20"]
+    if stream:
+        argv += ["--stream", "--queue-depth", "4"]
+    assert main(argv) == 0
+    assert "crash: recovered_mappings" in capsys.readouterr().out

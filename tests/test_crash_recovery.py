@@ -51,7 +51,7 @@ def _crash_resume(small_geometry, name, crash_at_us, *, faults=None,
     requests = _workload(small_geometry.num_lpns)
     pre = [r for r in requests if r.arrival_us < crash_at_us]
     post = [r for r in requests if r.arrival_us >= crash_at_us]
-    info = ssd.run_with_crash(pre, crash_at_us)
+    info, _ = ssd.run_with_crash(pre, crash_at_us)
     ssd.run(post)
     if ssd.sanitizer is not None:
         ssd.sanitizer.finalize()
@@ -64,7 +64,7 @@ def test_recovered_table_matches_pre_crash(small_geometry, name, crash_at_us):
     ssd = SimulatedSSD(small_geometry, ftl=name, sanitize=True)
     ssd.precondition(0.5)
     requests = _workload(small_geometry.num_lpns)
-    ssd.controller.submit_many(
+    ssd.controller.submit_stream(
         [r for r in requests if r.arrival_us < crash_at_us])
     ssd.engine.run(until=crash_at_us)
     snapshot = np.array(ssd.ftl.page_table, dtype=np.int64).copy()
@@ -117,7 +117,7 @@ def test_crash_drops_write_buffer(small_geometry):
     # Buffer a few writes at t=0 without letting the engine run them
     # to completion: submit and crash immediately.
     writes = [IoRequest(float(i), i, 1, IoOp.WRITE) for i in range(4)]
-    ssd.controller.submit_many(writes)
+    ssd.controller.submit_stream(writes)
     ssd.engine.run(until=10.0)
     info = ssd.crash()
     assert info["lost_buffered_pages"] > 0
@@ -129,7 +129,7 @@ def test_crash_clears_pending_events(small_geometry):
     ssd = SimulatedSSD(small_geometry, ftl="dloop")
     ssd.precondition(0.5)
     requests = _workload(small_geometry.num_lpns, n=400)
-    ssd.controller.submit_many(requests)
+    ssd.controller.submit_stream(requests)
     ssd.engine.run(until=requests[10].arrival_us)
     info = ssd.crash()
     assert info["dropped_events"] > 0

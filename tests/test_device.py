@@ -91,7 +91,7 @@ def test_all_device_features_compose(small_geometry):
         cmt_entries=64,
         write_buffer_pages=16,
         background_gc=True,
-        telemetry_interval_us=5_000.0,
+        stats_interval_us=5_000.0,
     )
     ssd.precondition(0.5)
     rng = random.Random(3)

@@ -186,10 +186,9 @@ def test_pending_accounting_under_schedule_cancel_churn():
     for _ in range(150):
         for _ in range(rng.randrange(1, 8)):
             if rng.random() < 0.5:
-                handles.extend(
-                    engine.schedule_many(
-                        (engine.now + rng.random() * 10.0, fired.append, len(handles))
-                        for _ in range(rng.randrange(1, 4))
+                handles.append(
+                    engine.schedule_at(
+                        engine.now + rng.random() * 10.0, fired.append, len(handles)
                     )
                 )
             else:
@@ -215,37 +214,19 @@ def test_pending_accounting_under_schedule_cancel_churn():
     assert engine.pending == 0
 
 
-def test_schedule_many_interleaves_with_existing_events():
+
+
+def test_withdraw_takes_back_posted_events_only():
     engine = Engine()
     fired = []
-    engine.schedule_at(5.0, fired.append, "single-5")
-    engine.schedule_at(15.0, fired.append, "single-15")
-    engine.schedule_many(
-        [
-            (10.0, fired.append, "batch-10"),
-            (1.0, fired.append, "batch-1"),
-            (20.0, fired.append, "batch-20"),
-        ]
-    )
-    assert engine.pending == 5
+    take, keep = fired.append, fired.extend
+    engine.post(4.0, take, "late")
+    engine.post(1.0, take, "early")
+    engine.post(2.0, keep, ["kept"])
+    handle = engine.schedule_at(3.0, take, "scheduled")
+    assert engine.withdraw(take) == ["early", "late"]
+    assert engine.pending == 2
+    assert engine.withdraw(take) == []
     engine.run()
-    assert fired == ["batch-1", "single-5", "batch-10", "single-15", "batch-20"]
-
-
-def test_schedule_many_same_time_keeps_submission_order():
-    engine = Engine()
-    fired = []
-    engine.schedule_many([(3.0, fired.append, i) for i in range(6)])
-    engine.run()
-    assert fired == [0, 1, 2, 3, 4, 5]
-
-
-def test_schedule_many_handles_are_cancellable():
-    engine = Engine()
-    fired = []
-    handles = engine.schedule_many([(float(t), fired.append, t) for t in range(1, 5)])
-    engine.cancel(handles[1])
-    engine.cancel(handles[2])
-    engine.run()
-    assert fired == [1, 4]
-    assert engine.pending == 0
+    assert fired == ["kept", "scheduled"]
+    assert handle.fired and engine.pending == 0

@@ -11,13 +11,9 @@ bit-identical to ``batch_kernels=False`` — same determinism fingerprint
 completed count, same request-stats accumulators down to the last
 Welford update and reservoir slot.
 
-The same file pins the two supporting batch surfaces:
-
-* the fused generator ``stream_io_requests`` against the unfused
-  ``io_requests(stream_workload(...))`` pipeline (same values, same
-  Python scalar types, any chunk size);
-* the :class:`FlashTimekeeper` batch APIs against per-op scalar calls
-  (same completion times, same timelines, same counters).
+The same file pins the supporting :class:`FlashTimekeeper` batch APIs
+against per-op scalar calls (same completion times, same timelines,
+same counters).
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from repro.ftl.registry import available_ftls, create_ftl
 from repro.metrics.streaming import StreamingRequestStats
 from repro.perf.fingerprint import engine_fingerprint, ftl_fingerprint
 from repro.traces.model import KB, SizeMix, WorkloadSpec
-from repro.traces.stream import io_requests, stream_io_requests, stream_workload
+from repro.traces.stream import io_requests, stream_workload
 
 
 def _geometry() -> SSDGeometry:
@@ -123,7 +119,7 @@ def _replay(ftl_name: str, mode: str, faults: bool, batch_kernels: bool,
         sanitize=sanitize,
     )
     ssd.precondition(0.5)
-    requests = stream_io_requests(_spec(geometry, n=n), geometry)
+    requests = io_requests(stream_workload(_spec(geometry, n=n)), geometry)
     if mode == "materialized":
         end = ssd.run(list(requests))
     else:
@@ -188,32 +184,6 @@ def test_faults_detach_the_kernel():
         geometry, TimingParams(), ftl="dloop", batch_kernels=True, faults=FAULTS
     )
     assert ssd.ftl._kernel is None
-
-
-# ---- fused generator vs unfused pipeline -----------------------------------
-
-
-@pytest.mark.parametrize("chunk", (1, 113, 2000))
-def test_fused_generator_matches_unfused_pipeline(chunk):
-    geometry = _geometry()
-    spec = _spec(geometry, n=2500)
-    fused = list(stream_io_requests(spec, geometry, chunk_requests=chunk))
-    unfused = list(io_requests(stream_workload(spec, chunk_requests=chunk), geometry))
-    assert len(fused) == len(unfused)
-    for a, b in zip(fused, unfused):
-        assert repr(a.arrival_us) == repr(b.arrival_us)
-        assert a.start_lpn == b.start_lpn
-        assert a.page_count == b.page_count
-        assert a.op is b.op
-        # Scalar *types* matter too: fingerprints repr() these fields.
-        assert type(a.arrival_us) is float and type(a.start_lpn) is int
-        assert type(a.page_count) is int
-
-
-def test_fused_generator_rejects_bad_chunk():
-    geometry = _geometry()
-    with pytest.raises(ValueError):
-        next(stream_io_requests(_spec(geometry), geometry, chunk_requests=0))
 
 
 # ---- timekeeper batch APIs vs scalar ---------------------------------------

@@ -3,6 +3,7 @@ parser duality, streaming stats, and bounded-memory behaviour."""
 
 import random
 import tracemalloc
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from repro.metrics.streaming import (
     StreamingRequestStats,
 )
 from repro.perf.fingerprint import engine_fingerprint, ftl_fingerprint
-from repro.sim.request import IoOp
+from repro.sim.request import IoOp, IoRequest
 from repro.traces.model import KB, SizeMix, WorkloadSpec
 from repro.traces.parser import (
     iter_disksim,
@@ -161,11 +162,10 @@ def _replay_spec(n=1200):
     return small_spec(n=n, footprint_bytes=4 * MB, seed=11)
 
 
-def _materialized_run(ftl_name):
+def _replay_requests():
     spec = _replay_spec()
-    ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl=ftl_name)
-    ssd.precondition(0.6)
     capacity = REPLAY_GEOMETRY.capacity_bytes
+    ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="dloop")
     requests = []
     for r in generate(spec):
         offset = r.offset_bytes % capacity
@@ -173,7 +173,35 @@ def _materialized_run(ftl_name):
         requests.append(ssd.byte_request(
             r.arrival_us, offset, size, IoOp.WRITE if r.is_write else IoOp.READ
         ))
-    end = ssd.run(requests)
+    return requests
+
+
+def _copies(requests):
+    return [IoRequest(r.arrival_us, r.start_lpn, r.page_count, r.op)
+            for r in requests]
+
+
+def _equal_timestamp_requests():
+    """The replay trace in bursts: arrivals floored onto a 2 ms grid."""
+    requests = _replay_requests()
+    for r in requests:
+        r.arrival_us = float(r.arrival_us // 2000.0 * 2000.0)
+    return requests
+
+
+def _materialized_run(ftl_name, requests=None):
+    ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl=ftl_name)
+    ssd.precondition(0.6)
+    end = ssd.run(_replay_requests() if requests is None else requests)
+    fp = ftl_fingerprint(ssd.ftl, end)
+    fp.update(engine_fingerprint(ssd.engine))
+    return fp, ssd.stats
+
+
+def _streamed_fingerprint(ftl_name, requests):
+    ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl=ftl_name)
+    ssd.precondition(0.6)
+    end = ssd.run_stream(requests)
     fp = ftl_fingerprint(ssd.ftl, end)
     fp.update(engine_fingerprint(ssd.engine))
     return fp, ssd.stats
@@ -182,22 +210,29 @@ def _materialized_run(ftl_name):
 @pytest.mark.parametrize("ftl_name", ["dloop", "dftl", "fast"])
 def test_unbounded_stream_is_fingerprint_identical(ftl_name):
     spec = _replay_spec()
-    ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl=ftl_name)
-    ssd.precondition(0.6)
-    end = ssd.run_stream(io_requests(stream_workload(spec), REPLAY_GEOMETRY))
-    fp = ftl_fingerprint(ssd.ftl, end)
-    fp.update(engine_fingerprint(ssd.engine))
-
+    fp, stats = _streamed_fingerprint(
+        ftl_name, io_requests(stream_workload(spec), REPLAY_GEOMETRY)
+    )
     ref_fp, ref_stats = _materialized_run(ftl_name)
     assert fp == ref_fp
-    assert ssd.stats.count == ref_stats.count
-    assert ssd.stats.pages_written == ref_stats.pages_written
-    assert ssd.stats.pages_read == ref_stats.pages_read
+    assert stats.count == ref_stats.count
+    assert stats.pages_written == ref_stats.pages_written
+    assert stats.pages_read == ref_stats.pages_read
     # Welford mean vs np.mean of the full series: same data, so equal
     # to float accumulation noise.
-    assert ssd.stats.mean_response_us() == pytest.approx(
+    assert stats.mean_response_us() == pytest.approx(
         ref_stats.mean_response_us(), rel=1e-9
     )
+
+    # A list need not be in arrival order: run() serves it in stable
+    # arrival order (equal timestamps keep their list order), like the
+    # stream of the stably sorted list.
+    for requests in (_shuffled_requests(), _equal_timestamp_requests()):
+        in_order = sorted(_copies(requests), key=attrgetter("arrival_us"))
+        fp, stats = _streamed_fingerprint(ftl_name, iter(in_order))
+        ref_fp, ref_stats = _materialized_run(ftl_name, requests)
+        assert fp == ref_fp
+        assert stats.count == ref_stats.count == len(requests)
 
 
 @pytest.mark.parametrize("ftl_name", ["dloop", "dftl", "fast"])
@@ -461,6 +496,151 @@ def test_midstream_crash_clears_admission_state():
     ssd.run(reads)
     assert ssd.stats.count == before + 32
     assert ssd.controller.peak_outstanding > 4
+
+
+# ---- resuming a crashed or paused stream (bugfix) ---------------------------
+
+
+def _writes(lpns, start_us, gap_us):
+    return [IoRequest(start_us + i * gap_us, lpn, 1, IoOp.WRITE)
+            for i, lpn in enumerate(lpns)]
+
+
+def _logged_device():
+    """A preconditioned device plus the LPNs of its completions, in order."""
+    ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="dloop")
+    ssd.precondition(0.6)
+    served = []
+    ssd.controller.on_complete.append(lambda r: served.append(r.start_lpn))
+    return ssd, served
+
+
+def test_crash_resume_serves_every_unissued_request_once():
+    """A power cut loses only the requests in flight.  The request the
+    controller had pulled ahead of the clock was never issued: resuming
+    the stream serves it, and every later one, exactly once."""
+    ssd, served = _logged_device()
+    _, rest = ssd.run_with_crash(_writes(range(10), 0.0, 1000.0), 4500.0)
+    before = list(served)
+    ssd.run_stream(rest, streaming_stats=False)
+    assert served[len(before):] == [5, 6, 7, 8, 9]
+    assert set(before) <= {0, 1, 2, 3, 4}
+
+
+def test_second_crash_on_a_resumed_stream_still_resumes():
+    ssd, served = _logged_device()
+    _, rest = ssd.run_with_crash(_writes(range(10), 0.0, 1000.0), 2500.0)
+    _, rest = ssd.run_with_crash(rest, 6500.0)
+    before = len(served)
+    ssd.run_stream(rest, streaming_stats=False)
+    assert served[before:] == [7, 8, 9]
+
+
+def test_crash_after_a_merge_keeps_both_streams_unissued_requests():
+    """A crash while a paused stream is merged with a later one hands
+    back the not-yet-issued requests of both, in arrival order."""
+    ssd, served = _logged_device()
+    ssd.run_stream(iter(_writes(range(10), 0.0, 1000.0)), until=2500.0)
+    _, rest = ssd.run_with_crash(
+        iter(_writes(range(100, 110), 3250.0, 500.0)), 4600.0
+    )
+    rest = list(rest)
+    unissued = [103, 5, 104, 105, 6, 106, 107, 7, 108, 109, 8, 9]
+    assert [r.start_lpn for r in rest] == unissued
+    before = len(served)
+    ssd.run_stream(iter(rest), streaming_stats=False)
+    assert sorted(served[before:]) == sorted(unissued)
+    assert len(set(served)) == len(served)
+    assert ssd.engine.pending == 0
+
+
+def test_run_rejects_arrivals_in_the_past():
+    """``run()`` replays a trace at its timestamps, so a request that
+    arrives before the current clock is an error, not a silent delay."""
+    ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="dloop")
+    ssd.run(_writes(range(4), 0.0, 1000.0))
+    assert ssd.engine.now > 0
+    with pytest.raises(ValueError, match="before now"):
+        ssd.run(_writes(range(4), 0.0, 1000.0))
+    assert ssd.stats.count == 4
+    assert ssd.controller._stream is None
+
+
+def test_run_without_requests_finishes_a_paused_stream():
+    ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="dloop")
+    ssd.precondition(0.6)
+    ssd.run(_writes(range(10), 0.0, 1000.0), until=4500.0)
+    ssd.run()
+    assert ssd.stats.count == 10
+    assert ssd.controller._stream is None
+
+
+def test_submit_allocates_no_event_handle():
+    from repro.sim.engine import EventHandle
+
+    ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="dloop")
+    for request in _writes(range(4), 10.0, 10.0):
+        ssd.submit(request)
+    assert ssd.engine.pending == 4
+    assert not any(isinstance(e[2], EventHandle) for e in ssd.engine._heap)
+    ssd.run()
+    assert ssd.stats.count == 4
+
+
+def test_runner_crash_resume_loses_nothing_when_idle():
+    """``run_simulation(crash_at_us=...)`` with no request in flight at
+    the power cut completes the whole trace, streamed or not."""
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.runner import run_simulation
+    from repro.traces.model import TraceRequest
+
+    page = REPLAY_GEOMETRY.page_size
+    trace = [TraceRequest(i * 1000.0, i * page, page, True) for i in range(10)]
+    config = ExperimentConfig(geometry=REPLAY_GEOMETRY, ftl="dloop",
+                              precondition_fill=0.0)
+    for stream in (False, True):
+        result = run_simulation(iter(trace), config, stream=stream,
+                                crash_at_us=4900.0)
+        assert result.extras["crash"]["at_us"] == 4900.0
+        assert result.num_requests == 10
+
+
+def test_second_run_stream_merges_a_paused_stream():
+    """``run_stream(a, until=t)`` then ``run_stream(b)``: every request
+    of both calls is served and the NCQ window drains to zero."""
+    ssd = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="dloop")
+    ssd.precondition(0.6)
+    a = _writes(range(10), 0.0, 1000.0)
+    b = _writes(range(100, 110), 5000.0, 500.0)
+    ssd.run_stream(iter(a), queue_depth=2, until=4500.0)
+    ssd.run_stream(iter(b), queue_depth=2)
+    assert ssd.stats.count == 20
+    assert ssd.controller._stream_window == 0
+    assert ssd.controller.outstanding == 0
+
+
+def test_paused_run_then_run_matches_one_sorted_run():
+    """``run(a, until=t); run(b)`` replays like ``run(sorted(a + b))``:
+    merged by arrival, equal timestamps served earlier call first."""
+    a = _writes(range(10), 0.0, 1000.0)
+    b = _writes(range(100, 110), 5000.0, 500.0)
+
+    split = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="dloop")
+    split.precondition(0.6)
+    split.run(_copies(a), until=4500.0)
+    end = split.run(_copies(b))
+    fp = ftl_fingerprint(split.ftl, end)
+    fp.update(engine_fingerprint(split.engine))
+
+    whole = SimulatedSSD(REPLAY_GEOMETRY, TimingParams(), ftl="dloop")
+    whole.precondition(0.6)
+    ref_end = whole.run(sorted(_copies(a + b), key=attrgetter("arrival_us")))
+    ref_fp = ftl_fingerprint(whole.ftl, ref_end)
+    ref_fp.update(engine_fingerprint(whole.engine))
+
+    assert fp == ref_fp
+    assert split.stats.count == whole.stats.count == 20
+    assert split.stats.response_us == whole.stats.response_us
 
 
 # ---- out-of-order streamed traces (bugfix) ----------------------------------

@@ -8,7 +8,7 @@ from repro.sim.request import IoOp, IoRequest
 
 
 def test_sampler_collects_on_grid(small_geometry):
-    ssd = SimulatedSSD(small_geometry, ftl="pagemap", telemetry_interval_us=1000.0)
+    ssd = SimulatedSSD(small_geometry, ftl="pagemap", stats_interval_us=1000.0)
     requests = [IoRequest(float(i * 500), i % 50, 1, IoOp.WRITE) for i in range(50)]
     ssd.run(requests)
     telemetry = ssd.telemetry
@@ -20,7 +20,7 @@ def test_sampler_collects_on_grid(small_geometry):
 
 
 def test_series_track_activity(small_geometry):
-    ssd = SimulatedSSD(small_geometry, ftl="pagemap", telemetry_interval_us=500.0)
+    ssd = SimulatedSSD(small_geometry, ftl="pagemap", stats_interval_us=500.0)
     requests = [IoRequest(float(i * 250), i % 64, 1, IoOp.WRITE) for i in range(200)]
     ssd.run(requests)
     t = ssd.telemetry
@@ -30,13 +30,13 @@ def test_series_track_activity(small_geometry):
 
 
 def test_sampler_does_not_spin_forever(small_geometry):
-    ssd = SimulatedSSD(small_geometry, ftl="pagemap", telemetry_interval_us=100.0)
+    ssd = SimulatedSSD(small_geometry, ftl="pagemap", stats_interval_us=100.0)
     ssd.run([IoRequest(0.0, 0, 1, IoOp.WRITE)])
     assert ssd.engine.pending == 0  # run() terminated
 
 
 def test_render_sparklines(small_geometry):
-    ssd = SimulatedSSD(small_geometry, ftl="pagemap", telemetry_interval_us=1000.0)
+    ssd = SimulatedSSD(small_geometry, ftl="pagemap", stats_interval_us=1000.0)
     ssd.run([IoRequest(float(i * 400), i, 1, IoOp.WRITE) for i in range(30)])
     text = ssd.telemetry.render("demo")
     assert "demo" in text

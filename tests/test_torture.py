@@ -346,8 +346,7 @@ class TestCampaign:
 
     def test_streaming_cell(self):
         campaign = TortureCampaign(CampaignConfig(
-            ftls=("dloop",), num_requests=10, budget=3,
-            stream=True, queue_depth=2,
+            ftls=("dloop",), num_requests=10, budget=3, queue_depth=2,
         ))
         report = campaign.run_cell(campaign.cells()[0])
         assert report["violations_total"] == 0
@@ -364,12 +363,12 @@ class TestCampaign:
     def test_repro_command_round_trips_flags(self):
         campaign = TortureCampaign(CampaignConfig(
             ftls=("dftl",), fault_plans=("moderate",), num_requests=12,
-            double=True, write_buffer_pages=8, stream=True, queue_depth=4,
+            double=True, write_buffer_pages=8, queue_depth=4,
         ))
         cell = campaign.cells()[0]
         command = campaign.repro_command(cell, ("gc_step", 3), double=True)
         for token in ("--ftls dftl", "--faults moderate", "--double",
-                      "--point gc_step:3", "--write-buffer 8", "--stream",
+                      "--point gc_step:3", "--write-buffer 8",
                       "--queue-depth 4", "--requests 12"):
             assert token in command
 
@@ -592,9 +591,8 @@ class TestStreamingCrash:
         ssd.precondition(0.6)
         requests = _write_workload(small_geometry, 300, seed=31, trim_share=0.0)
         crash_at = requests[len(requests) // 2].arrival_us
-        tail = iter(_fresh(requests))
-        summary = ssd.run_with_crash(
-            tail, crash_at, stream=True, queue_depth=4
+        summary, tail = ssd.run_with_crash(
+            iter(_fresh(requests)), crash_at, queue_depth=4
         )
         # admission state is volatile: fully reset by the crash
         assert ssd.controller._stream is None
