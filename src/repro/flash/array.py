@@ -355,6 +355,68 @@ class FlashArray:
         if BUS.enabled:
             BUS.emit("array", "invalidate", 0.0, 0.0, {"ppn": ppn}, None, "i")
 
+    def relocate_pages(self, src_ppns, dst_ppns, owners) -> None:
+        """Move each ``src_ppns[i]`` to ``dst_ppns[i]`` as ``owners[i]``.
+
+        One relocation copy per page (GC, merges): the destination is
+        programmed, then the source invalidated — the NAND checks, state
+        changes and ``array`` events of :meth:`program` followed by
+        :meth:`invalidate`, page by page.  When OOB generations are
+        armed the destination inherits the source's generation, as
+        :meth:`stage_copy_gen` followed by :meth:`program` of the same
+        owner does.
+        """
+        page_state = self.page_state
+        page_owner = self.page_owner
+        block_valid = self.block_valid
+        block_invalid = self.block_invalid
+        write_ptr = self.block_write_ptr
+        write_stamp = self.block_write_stamp
+        block_is_free = self._block_is_free
+        page_gen = self.page_gen
+        ppb = self._pages_per_block
+        traced = BUS.enabled
+        stamp = self.write_stamp
+        try:
+            for src, dst, owner in zip(src_ppns, dst_ppns, owners):
+                if page_state[dst] != _FREE:
+                    raise FlashStateError(f"program of non-free page {dst}")
+                block = dst // ppb
+                offset = dst - block * ppb
+                if offset < write_ptr[block]:
+                    raise FlashStateError(
+                        f"out-of-order program: page {offset} of block {block}, write ptr at {write_ptr[block]}"
+                    )
+                if block_is_free[block]:
+                    raise FlashStateError(f"program into unallocated block {block}")
+                if page_state[src] != _VALID:
+                    raise FlashStateError(f"invalidate of non-valid page {src}")
+                write_ptr[block] = offset + 1
+                page_state[dst] = _VALID
+                page_owner[dst] = owner
+                block_valid[block] += 1
+                stamp += 1
+                write_stamp[block] = stamp
+                if page_gen is not None:
+                    gen = page_gen[dst] = page_gen[src]
+                    self._staged_gen = None
+                    if traced:
+                        BUS.emit("array", "program", 0.0, 0.0,
+                                 {"ppn": dst, "owner": owner, "gen": gen}, None, "i")
+                elif traced:
+                    BUS.emit("array", "program", 0.0, 0.0, {"ppn": dst, "owner": owner}, None, "i")
+                src_block = src // ppb
+                page_state[src] = _INVALID
+                page_owner[src] = OWNER_NONE
+                block_valid[src_block] -= 1
+                block_invalid[src_block] += 1
+                if traced:
+                    BUS.emit("array", "invalidate", 0.0, 0.0, {"ppn": src}, None, "i")
+        finally:
+            # A raise (NAND check, crash point on an emit) keeps the
+            # stamps of the pages already programmed.
+            self.write_stamp = stamp
+
     def skip_page(self, ppn: int) -> None:
         """Deliberately waste a FREE page (same-parity policy, Fig. 5b).
 

@@ -16,7 +16,8 @@ paper's extended simulator implements (Section IV.B).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 
 GB = 1024 ** 3
@@ -71,55 +72,64 @@ class SSDGeometry:
             raise ValueError("plane_order must be 'channel-interleaved' or 'die-major'")
 
     # ---- derived sizes -------------------------------------------------
+    #
+    # Computed once per instance: the hot paths read them per host page.
+    # ``cached_property`` stores into the instance ``__dict__`` directly,
+    # which a frozen dataclass allows; the cache is not a field, so
+    # ``==``, ``hash``, ``asdict`` and ``replace`` ignore it, and
+    # ``__getstate__`` leaves it out of pickles.
 
-    @property
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
     def dies_per_channel(self) -> int:
         return self.packages_per_channel * self.chips_per_package * self.dies_per_chip
 
-    @property
+    @cached_property
     def num_dies(self) -> int:
         return self.channels * self.dies_per_channel
 
-    @property
+    @cached_property
     def num_planes(self) -> int:
         return self.num_dies * self.planes_per_die
 
-    @property
+    @cached_property
     def extra_blocks_per_plane(self) -> int:
         """Over-provisioned blocks per plane (rounded up, min 0)."""
         return math.ceil(self.blocks_per_plane * self.extra_blocks_percent / 100.0)
 
-    @property
+    @cached_property
     def physical_blocks_per_plane(self) -> int:
         return self.blocks_per_plane + self.extra_blocks_per_plane
 
-    @property
+    @cached_property
     def pages_per_plane(self) -> int:
         """Physical pages per plane (including extra blocks)."""
         return self.physical_blocks_per_plane * self.pages_per_block
 
-    @property
+    @cached_property
     def num_physical_blocks(self) -> int:
         return self.num_planes * self.physical_blocks_per_plane
 
-    @property
+    @cached_property
     def num_physical_pages(self) -> int:
         return self.num_physical_blocks * self.pages_per_block
 
-    @property
+    @cached_property
     def num_data_blocks(self) -> int:
         return self.num_planes * self.blocks_per_plane
 
-    @property
+    @cached_property
     def num_lpns(self) -> int:
         """Logical pages exposed to the host (data-sheet capacity)."""
         return self.num_data_blocks * self.pages_per_block
 
-    @property
+    @cached_property
     def capacity_bytes(self) -> int:
         return self.num_lpns * self.page_size
 
-    @property
+    @cached_property
     def block_size(self) -> int:
         return self.pages_per_block * self.page_size
 

@@ -51,23 +51,28 @@ class FlashTimekeeper:
         self.die_bus_free = [0.0] * geometry.num_dies
         self.counters = FlashCounters(geometry.num_planes, geometry.channels)
         self._page_xfer = timing.page_transfer_us(geometry.page_size)
+        # Topology resolved once: one list index per op instead of a
+        # ``plane_order`` branch inside the geometry.
+        planes = range(geometry.num_planes)
+        self._plane_channel = [geometry.plane_to_channel(p) for p in planes]
+        self._plane_die = [geometry.plane_to_die(p) for p in planes]
 
     # ---- helpers ---------------------------------------------------------
 
     def _channel_of(self, plane: int) -> int:
-        return self.geometry.plane_to_channel(plane)
+        return self._plane_channel[plane]
 
     def _bus_ready(self, plane: int, channel: int, earliest: float) -> float:
         """When the transfer path (channel [+ die bus]) becomes usable."""
         ready = max(earliest, self.channel_free[channel])
         if self.die_aware:
-            ready = max(ready, self.die_bus_free[self.geometry.plane_to_die(plane)])
+            ready = max(ready, self.die_bus_free[self._plane_die[plane]])
         return ready
 
     def _bus_hold(self, plane: int, channel: int, until: float) -> None:
         self.channel_free[channel] = until
         if self.die_aware:
-            self.die_bus_free[self.geometry.plane_to_die(plane)] = until
+            self.die_bus_free[self._plane_die[plane]] = until
 
     def _note_plane(self, plane: int, start: float, end: float) -> None:
         self.counters.plane_ops[plane] += 1
@@ -143,20 +148,13 @@ class FlashTimekeeper:
 
     def inter_plane_copy(self, src_plane: int, dst_plane: int, start: float) -> float:
         """Traditional copy through the controller buffer (Fig. 2)."""
-        after_read = self.read_page(src_plane, start)
-        end = self.program_page(dst_plane, after_read)
-        # read_page/program_page already counted a read and a program;
-        # additionally tally the composite operation.
-        self.counters.interplane_copies += 1
-        if BUS.enabled:
-            BUS.emit("flash", "inter_plane_copy", start, 0.0,
-                     {"src_plane": src_plane, "dst_plane": dst_plane}, None, "i")
-        return end
+        return self.inter_plane_copies((src_plane,), dst_plane, start)
 
     # ---- batch operations ----------------------------------------------------
     #
     # One call prices a whole run of same-kind operations issued at a
-    # common ``start`` (a request window's pages, a GC stream).  The
+    # common ``start`` (a request window's pages, a GC stream) or, for
+    # ``inter_plane_copies``, chained end to start (a merge).  The
     # folds are cumulative: each operation's admission point depends on
     # the plane/channel holds left by the previous one, so the general
     # case is a sequential fold over the plane array — exactly the
@@ -165,7 +163,8 @@ class FlashTimekeeper:
     # starts where the last one ended); that path is vectorisable and
     # remains bit-identical because it performs the *same* additions in
     # the same order.  Results are bit-identical to calling the scalar
-    # methods in a loop; tests/test_kernels.py locks this in.
+    # methods in a loop; tests/test_kernels.py and
+    # tests/test_timekeeper.py lock this in.
 
     def read_pages(self, planes, start: float) -> list:
         """Price a read on each plane of ``planes`` (all issued at
@@ -177,11 +176,11 @@ class FlashTimekeeper:
         counters = self.counters
         read_us = self.timing.page_read_us
         xfer_us = self._page_xfer
-        geometry = self.geometry
         die_aware = self.die_aware
+        plane_channel = self._plane_channel
         ends = []
         for plane in planes:
-            channel = geometry.plane_to_channel(plane)
+            channel = plane_channel[plane]
             pf = plane_free[plane]
             sense_start = start if start > pf else pf
             sense_end = sense_start + read_us
@@ -192,7 +191,7 @@ class FlashTimekeeper:
             plane_free[plane] = end
             channel_free[channel] = end
             if die_aware:
-                self.die_bus_free[geometry.plane_to_die(plane)] = end
+                self.die_bus_free[self._plane_die[plane]] = end
             counters.reads += 1
             counters.channel_busy_us[channel] += end - xfer_start
             counters.plane_ops[plane] += 1
@@ -210,18 +209,18 @@ class FlashTimekeeper:
         counters = self.counters
         program_us = self.timing.page_program_us
         xfer_us = self._page_xfer
-        geometry = self.geometry
         die_aware = self.die_aware
+        plane_channel = self._plane_channel
         ends = []
         for plane in planes:
-            channel = geometry.plane_to_channel(plane)
+            channel = plane_channel[plane]
             xfer_start = self._bus_ready(plane, channel, start) if die_aware else (
                 start if start > channel_free[channel] else channel_free[channel]
             )
             xfer_end = xfer_start + xfer_us
             channel_free[channel] = xfer_end
             if die_aware:
-                self.die_bus_free[geometry.plane_to_die(plane)] = xfer_end
+                self.die_bus_free[self._plane_die[plane]] = xfer_end
             pf = plane_free[plane]
             prog_start = xfer_end if xfer_end > pf else pf
             end = prog_start + program_us
@@ -232,6 +231,89 @@ class FlashTimekeeper:
             counters.plane_busy_us[plane] += end - xfer_start
             ends.append(end)
         return ends
+
+    def inter_plane_copies(self, src_planes, dst_plane: int, start: float) -> float:
+        """Price a chain of controller copies (Fig. 2) from each plane of
+        ``src_planes`` into ``dst_plane``; returns when the last ends.
+
+        Each copy is issued when the previous one completes, the first
+        at ``start`` (an empty chain returns ``start``).  Per copy the
+        fold performs ``read_page(src)`` then ``program_page(dst_plane)``
+        — the same additions in the same order — so timelines, counters
+        and trace events are bit-identical to calling
+        ``inter_plane_copy`` once per page.
+        """
+        plane_free = self.plane_free
+        channel_free = self.channel_free
+        die_bus_free = self.die_bus_free
+        counters = self.counters
+        channel_busy = counters.channel_busy_us
+        plane_ops = counters.plane_ops
+        plane_busy = counters.plane_busy_us
+        read_us = self.timing.page_read_us
+        program_us = self.timing.page_program_us
+        xfer_us = self._page_xfer
+        die_aware = self.die_aware
+        plane_channel = self._plane_channel
+        plane_die = self._plane_die
+        dst_channel = plane_channel[dst_plane]
+        dst_die = plane_die[dst_plane]
+        traced = BUS.enabled
+        t = start
+        n = 0
+        for src in src_planes:
+            # Read: sense on the source plane, transfer out on its channel.
+            channel = plane_channel[src]
+            pf = plane_free[src]
+            sense_start = t if t > pf else pf
+            sense_end = sense_start + read_us
+            cf = channel_free[channel]
+            out_start = sense_end if sense_end > cf else cf
+            if die_aware:
+                df = die_bus_free[plane_die[src]]
+                if df > out_start:
+                    out_start = df
+            read_end = out_start + xfer_us
+            plane_free[src] = read_end
+            channel_free[channel] = read_end
+            if die_aware:
+                die_bus_free[plane_die[src]] = read_end
+            channel_busy[channel] += read_end - out_start
+            plane_ops[src] += 1
+            plane_busy[src] += read_end - sense_start
+            # Program: transfer in on the destination channel, then program.
+            cf = channel_free[dst_channel]
+            in_start = read_end if read_end > cf else cf
+            if die_aware:
+                df = die_bus_free[dst_die]
+                if df > in_start:
+                    in_start = df
+            in_end = in_start + xfer_us
+            channel_free[dst_channel] = in_end
+            if die_aware:
+                die_bus_free[dst_die] = in_end
+            pf = plane_free[dst_plane]
+            prog_start = in_end if in_end > pf else pf
+            end = prog_start + program_us
+            plane_free[dst_plane] = end
+            channel_busy[dst_channel] += in_end - in_start
+            plane_ops[dst_plane] += 1
+            plane_busy[dst_plane] += end - in_start
+            if traced:
+                ids = {"plane": src, "channel": channel}
+                BUS.emit("flash", "read", sense_start, read_end - sense_start, ids, f"plane:{src}")
+                BUS.emit("flash", "xfer_out", out_start, read_end - out_start, ids, f"channel:{channel}")
+                ids = {"plane": dst_plane, "channel": dst_channel}
+                BUS.emit("flash", "program", prog_start, end - prog_start, ids, f"plane:{dst_plane}")
+                BUS.emit("flash", "xfer_in", in_start, in_end - in_start, ids, f"channel:{dst_channel}")
+                BUS.emit("flash", "inter_plane_copy", t, 0.0,
+                         {"src_plane": src, "dst_plane": dst_plane}, None, "i")
+            t = end
+            n += 1
+        counters.reads += n
+        counters.programs += n
+        counters.interplane_copies += n
+        return t
 
     # ---- introspection -------------------------------------------------------
 

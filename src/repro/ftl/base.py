@@ -538,6 +538,32 @@ class Ftl(abc.ABC):
         """Physical location of an LPN, or -1 if never written."""
         return self.page_table[lpn]
 
+    def _copy_lbn_into(self, lbn: int, block: int, first_off: int, now: float) -> float:
+        """Copy the latest copies of logical block ``lbn``'s mapped
+        offsets ``first_off..P-1`` to the same offsets of ``block``
+        through the controller (the merge move of Section II.A); returns
+        when the last copy ends.  Unmapped offsets stay free."""
+        ppb = self.geometry.pages_per_block
+        base_lpn = lbn * ppb
+        first_ppn = self.codec.block_first_ppn(block)
+        page_table = self.page_table
+        mapped = page_table[base_lpn + first_off : base_lpn + ppb]
+        offsets = [off for off, src in enumerate(mapped, first_off) if src != -1]
+        if not offsets:
+            return now
+        srcs = [src for src in mapped if src != -1]
+        dsts = [first_ppn + off for off in offsets]
+        owners = [base_lpn + off for off in offsets]
+        self.array.relocate_pages(srcs, dsts, owners)
+        t = self.clock.inter_plane_copies(
+            map(self.codec.ppn_to_plane, srcs), self.codec.block_to_plane(block), now)
+        moved = len(srcs)
+        self.gc_stats.controller_moves += moved
+        self.gc_stats.moved_pages += moved
+        for lpn, dst in zip(owners, dsts):
+            page_table[lpn] = dst
+        return t
+
     def is_mapped(self, lpn: int) -> bool:
         return self.page_table[lpn] != -1
 

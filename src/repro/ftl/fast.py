@@ -271,7 +271,7 @@ class FastFtl(Ftl):
             return t
         if filled < self.pages_per_block:
             # Partial merge: pull the not-yet-streamed offsets in.
-            t = self._fill_tail(block, lbn, filled, t)
+            t = self._copy_lbn_into(lbn, block, filled, t)
             self.fast_stats.partial_merges += 1
             merge_kind = "partial_merge"
         else:
@@ -299,25 +299,6 @@ class FastFtl(Ftl):
                     and self.array.owner_of(ppn) != base + off):
                 return False
         return True
-
-    def _fill_tail(self, block: int, lbn: int, first_off: int, now: float) -> float:
-        """Copy offsets ``first_off..P-1``'s latest copies into ``block``."""
-        t = now
-        dst_plane = self.codec.block_to_plane(block)
-        base_lpn = lbn * self.pages_per_block
-        first_ppn = self.codec.block_first_ppn(block)
-        for off in range(first_off, self.pages_per_block):
-            src_ppn = self.current_ppn(base_lpn + off)
-            if src_ppn == -1:
-                continue  # hole: page never written; leave it free
-            self.array.stage_copy_gen(src_ppn)
-            self.array.program(first_ppn + off, base_lpn + off)
-            t = self.clock.inter_plane_copy(self.codec.ppn_to_plane(src_ppn), dst_plane, t)
-            self.gc_stats.controller_moves += 1
-            self.gc_stats.moved_pages += 1
-            self.array.invalidate(src_ppn)
-            self.page_table[base_lpn + off] = first_ppn + off
-        return t
 
     def _full_merge(self, now: float) -> float:
         """Scrub the oldest RW log block (the costly merge)."""
@@ -368,20 +349,7 @@ class FastFtl(Ftl):
             self.rw_blocks.append(self.sw.block)
             self.sw = None
         new_block = self._alloc_block(lbn % self.num_planes)
-        dst_plane = self.codec.block_to_plane(new_block)
-        first_ppn = self.codec.block_first_ppn(new_block)
-        base_lpn = lbn * self.pages_per_block
-        for off in range(self.pages_per_block):
-            src_ppn = self.current_ppn(base_lpn + off)
-            if src_ppn == -1:
-                continue
-            self.array.stage_copy_gen(src_ppn)
-            self.array.program(first_ppn + off, base_lpn + off)
-            t = self.clock.inter_plane_copy(self.codec.ppn_to_plane(src_ppn), dst_plane, t)
-            self.gc_stats.controller_moves += 1
-            self.gc_stats.moved_pages += 1
-            self.array.invalidate(src_ppn)
-            self.page_table[base_lpn + off] = first_ppn + off
+        t = self._copy_lbn_into(lbn, new_block, 0, t)
         old_block = int(self.data_block[lbn])
         self.data_block[lbn] = new_block
         t = self.map_journal.record_update(t, lbn, new_block)

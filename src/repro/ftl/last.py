@@ -155,7 +155,7 @@ class LastFtl(LogBlockMixin, Ftl):
             self.last_stats.switch_merges += 1
         else:
             filled = int(self.array.block_write_ptr[block])
-            t = self._fill_tail(block, lbn, filled, t)
+            t = self._copy_lbn_into(lbn, block, filled, t)
             old_block = int(self.data_block[lbn])
             if old_block != -1 and self.array.block_valid[old_block] != 0:
                 # The association was dissolved by a full merge while

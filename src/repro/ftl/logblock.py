@@ -177,23 +177,8 @@ class LogBlockMixin:
         Gathers the latest valid copy of every page (data block, any log
         block) through the controller — the "full merge" of Section II.A.
         """
-        t = now
-        ppb = self.pages_per_block
         new_block = self._alloc_block(lbn % self.num_planes)
-        dst_plane = self.codec.block_to_plane(new_block)
-        first_ppn = self.codec.block_first_ppn(new_block)
-        base_lpn = lbn * ppb
-        for off in range(ppb):
-            src_ppn = self.current_ppn(base_lpn + off)
-            if src_ppn == -1:
-                continue
-            self.array.stage_copy_gen(src_ppn)
-            self.array.program(first_ppn + off, base_lpn + off)
-            t = self.clock.inter_plane_copy(self.codec.ppn_to_plane(src_ppn), dst_plane, t)
-            self.gc_stats.controller_moves += 1
-            self.gc_stats.moved_pages += 1
-            self.array.invalidate(src_ppn)
-            self.page_table[base_lpn + off] = first_ppn + off
+        t = self._copy_lbn_into(lbn, new_block, 0, now)
         old_block = int(self.data_block[lbn])
         self.data_block[lbn] = new_block
         if old_block != -1:
@@ -223,27 +208,6 @@ class LogBlockMixin:
         t = now
         if old_block != -1:
             t = self._erase_data_block(old_block, t)
-        return t
-
-    def _fill_tail(self, block: int, lbn: int, first_off: int, now: float) -> float:
-        """Copy offsets ``first_off..P-1``'s latest copies into ``block``
-        (the partial-merge move of Section II.A)."""
-        t = now
-        ppb = self.pages_per_block
-        dst_plane = self.codec.block_to_plane(block)
-        base_lpn = lbn * ppb
-        first_ppn = self.codec.block_first_ppn(block)
-        for off in range(first_off, ppb):
-            src_ppn = self.current_ppn(base_lpn + off)
-            if src_ppn == -1:
-                continue  # hole: page never written; leave it free
-            self.array.stage_copy_gen(src_ppn)
-            self.array.program(first_ppn + off, base_lpn + off)
-            t = self.clock.inter_plane_copy(self.codec.ppn_to_plane(src_ppn), dst_plane, t)
-            self.gc_stats.controller_moves += 1
-            self.gc_stats.moved_pages += 1
-            self.array.invalidate(src_ppn)
-            self.page_table[base_lpn + off] = first_ppn + off
         return t
 
     def _bulk_fill_data_blocks(self, count: int) -> None:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.flash.address import PageState
 from repro.flash.array import FlashArray, FlashStateError
+from repro.obs.tracebus import BUS
 
 
 @pytest.fixture
@@ -160,3 +161,96 @@ def test_erase_count_accumulates(array):
         array.invalidate(first_ppn(array, block))
         array.erase(block)
     assert array.block_erase_count[block] == 3
+
+
+# ---- relocate_pages (batched relocation copies) ------------------------------
+
+
+def _array_state(array):
+    return (
+        bytes(array.page_state), array.page_owner.tolist(), array.block_valid.tolist(),
+        array.block_invalid.tolist(), array.block_write_ptr.tolist(),
+        array.block_write_stamp.tolist(), array.write_stamp,
+        None if array.page_gen is None else array.page_gen.tolist(),
+    )
+
+
+def _filled_source(array, owners, plane=1):
+    """A source block holding ``owners`` at its first pages."""
+    block = array.allocate_block(plane)
+    base = first_ppn(array, block)
+    for off, owner in enumerate(owners):
+        array.program(base + off, owner)
+    return [base + off for off in range(len(owners))]
+
+
+@pytest.mark.parametrize("armed", (False, True))
+def test_relocate_pages_equals_the_per_page_sequence(small_geometry, armed):
+    """State and ``array`` events equal ``stage_copy_gen`` + ``program``
+    + ``invalidate`` page by page (staging is a no-op when disarmed).
+    Armed, each destination carries its source's generation, which may
+    be older than the owner's latest issued one."""
+    owners = [16, 17, 19, 23]
+    batch, scalar = FlashArray(small_geometry), FlashArray(small_geometry)
+    for array in (batch, scalar):
+        if armed:
+            array.enable_oob_generations()
+            for gen, owner in enumerate(owners, start=3):
+                array.lpn_gen[owner] = gen
+        srcs = _filled_source(array, owners)
+        if armed:
+            array.lpn_gen[17] = 40  # newer content issued, not yet on flash
+        dst_base = first_ppn(array, array.allocate_block(0))
+        dsts = [dst_base + owner - 16 for owner in owners]  # holes at offsets 2, 4..6
+    with BUS.capture() as batch_events:
+        batch.relocate_pages(srcs, dsts, owners)
+    with BUS.capture() as scalar_events:
+        for src, dst, owner in zip(srcs, dsts, owners):
+            scalar.stage_copy_gen(src)
+            scalar.program(dst, owner)
+            scalar.invalidate(src)
+    assert _array_state(batch) == _array_state(scalar)
+    assert [e.name for e in batch_events] == ["program", "invalidate"] * len(owners)
+    assert batch_events == scalar_events
+    if armed:
+        assert [batch.read_gen(dst) for dst in dsts] == [3, 4, 5, 6]
+        assert batch._staged_gen is None
+
+
+@pytest.fixture
+def relocation(array):
+    """A source block with two valid pages and an open destination."""
+    srcs = _filled_source(array, [0, 1])
+    dst_block = array.allocate_block(0)
+    return array, srcs, first_ppn(array, dst_block)
+
+
+def test_relocate_pages_rejects_non_free_destination(relocation):
+    array, srcs, dst = relocation
+    array.program(dst, 7)
+    with pytest.raises(FlashStateError, match="program of non-free page"):
+        array.relocate_pages(srcs[:1], [dst], [0])
+
+
+def test_relocate_pages_rejects_out_of_order_destination(relocation):
+    array, srcs, dst = relocation
+    with pytest.raises(FlashStateError, match="out-of-order program"):
+        array.relocate_pages(srcs, [dst + 3, dst + 1], [0, 1])
+    # the first page moved before the violation was detected
+    assert array.state_of(dst + 3) == PageState.VALID
+    assert array.state_of(srcs[0]) == PageState.INVALID
+
+
+def test_relocate_pages_rejects_unallocated_destination(relocation):
+    array, srcs, _ = relocation
+    pooled = first_ppn(array, array.plane_blocks(3)[0])
+    with pytest.raises(FlashStateError, match="program into unallocated block"):
+        array.relocate_pages(srcs[:1], [pooled], [0])
+
+
+def test_relocate_pages_rejects_non_valid_source(relocation):
+    array, srcs, dst = relocation
+    array.invalidate(srcs[1])
+    with pytest.raises(FlashStateError, match="invalidate of non-valid page"):
+        array.relocate_pages(srcs, [dst, dst + 1], [0, 1])
+    assert array.state_of(dst + 1) == PageState.FREE

@@ -1,5 +1,8 @@
 """SSD geometry arithmetic and the paper's Table I configuration."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.flash.geometry import GB, KB, SSDGeometry
@@ -120,3 +123,23 @@ def test_channel_interleaved_spreads_consecutive_planes():
 def test_invalid_plane_order_rejected():
     with pytest.raises(ValueError):
         SSDGeometry(plane_order="diagonal")
+
+
+def test_cached_derived_sizes_leave_value_semantics_unchanged():
+    """Derived sizes are cached per instance; the cache must not leak
+    into equality, hashing, ``asdict``, ``replace`` or pickles."""
+    fresh = SSDGeometry(blocks_per_plane=100, extra_blocks_percent=2.5)
+    used = SSDGeometry(blocks_per_plane=100, extra_blocks_percent=2.5)
+    pickled_fresh = pickle.dumps(fresh)
+    assert used.num_lpns == 32 * 100 * 64  # populates the cache
+    assert used.num_physical_pages == 32 * 103 * 64
+    assert used == fresh and hash(used) == hash(fresh)
+    assert dataclasses.asdict(used) == dataclasses.asdict(fresh)
+    assert set(dataclasses.asdict(used)) == {f.name for f in dataclasses.fields(SSDGeometry)}
+    assert pickle.dumps(used) == pickled_fresh
+    restored = pickle.loads(pickle.dumps(used))
+    assert restored == used and restored.num_lpns == used.num_lpns
+    bigger = dataclasses.replace(used, blocks_per_plane=200)
+    assert bigger.num_lpns == 32 * 200 * 64
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        used.channels = 4

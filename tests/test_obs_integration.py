@@ -105,6 +105,52 @@ def test_tracing_is_bit_identical_to_untraced_run(module_geometry, traced_run):
     assert fingerprint(plain_ssd) == fingerprint(traced_ssd)
 
 
+def merge_workload(geometry, n=600, seed=5):
+    """Short streams from block boundaries mixed with random updates:
+    drives hybrid FTLs through partial merges (streams closed early)
+    and full merges (scattered log pages)."""
+    rng = random.Random(seed)
+    ppb = geometry.pages_per_block
+    space = int(geometry.num_lpns * 0.55)
+    requests, t = [], 0.0
+    for _ in range(n):
+        t += rng.expovariate(1 / 400.0)
+        if rng.random() < 0.3:
+            requests.append(IoRequest(t, rng.randrange(space // ppb) * ppb,
+                                      rng.randrange(2, ppb), IoOp.WRITE))
+        else:
+            op = IoOp.WRITE if rng.random() < 0.85 else IoOp.READ
+            requests.append(IoRequest(t, rng.randrange(space), 1, op))
+    return requests
+
+
+def run_hybrid(geometry, ftl, *, trace):
+    ssd = SimulatedSSD(geometry, ftl=ftl, stats_interval_us=25_000.0 if trace else None)
+    ssd.precondition(0.7)
+    workload = merge_workload(geometry)
+    if trace:
+        with ChromeTraceWriter(io.StringIO()).recording():
+            ssd.run(workload)
+    else:
+        ssd.run(workload)
+    ssd.verify()
+    merges = getattr(ssd.ftl, f"{ftl}_stats")
+    return ssd, {**fingerprint(ssd), "merges": vars(merges)}
+
+
+@pytest.mark.parametrize("ftl", ["fast", "bast", "last"])
+def test_hybrid_merges_traced_bit_identical_to_untraced(module_geometry, ftl):
+    """The batched merge relocation emits its array events and flash
+    spans through the bus; observing it must not change a result."""
+    traced_ssd, traced = run_hybrid(module_geometry, ftl, trace=True)
+    _, plain = run_hybrid(module_geometry, ftl, trace=False)
+    assert traced == plain
+    merges = traced["merges"]
+    assert merges["full_merges"] > 0
+    assert merges.get("partial_merges", 1) > 0  # BAST has no partial merge
+    assert traced_ssd.counters.interplane_copies == traced["gc_moved"] > 0
+
+
 def test_sampler_alone_is_bit_identical(small_geometry):
     """The sampler adds engine events but must not perturb results."""
     sampled_ssd, _ = run_dloop(small_geometry, stats_interval_us=25_000.0)

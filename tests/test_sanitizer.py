@@ -77,12 +77,15 @@ class TestCleanRun:
         plain = run_dloop(small_geometry, sanitize=False)
         assert fingerprint(plain) == fingerprint(sanitized)
 
-    @pytest.mark.parametrize("ftl_name", ["dftl", "pagemap"])
+    @pytest.mark.parametrize("ftl_name", ["dftl", "pagemap", "fast", "bast", "last"])
     def test_other_ftls_pass_too(self, small_geometry, ftl_name):
         ssd = SimulatedSSD(small_geometry, ftl=ftl_name, sanitize=True)
         ssd.precondition(0.7)
         ssd.run(update_heavy_workload(small_geometry, n=500))
         assert ssd.sanitizer.finalize()["violations"] == 0
+        if ftl_name in ("fast", "bast", "last"):
+            # guard: the checkers saw the hybrids' batched merge copies
+            assert ssd.counters.interplane_copies > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Timing model: operation latencies, resource contention, parallelism."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.flash.timekeeper import FlashTimekeeper
 from repro.flash.timing import TimingParams
+from repro.obs.tracebus import BUS
 
 
 @pytest.fixture
@@ -199,3 +203,85 @@ def test_die_aware_reset(timing):
     clock.program_page(0, 0.0)
     clock.reset_measurements()
     assert max(clock.die_bus_free) == 0.0
+
+
+# ---- batched controller copies (inter_plane_copies) ---------------------------
+
+
+def _scalar_copy(clock, src, dst, start):
+    """Fig. 2's copy spelled out: read_page, then program_page, then the
+    composite tally — the reference the batched fold must reproduce."""
+    end = clock.program_page(dst, clock.read_page(src, start))
+    clock.counters.interplane_copies += 1
+    if BUS.enabled:
+        BUS.emit("flash", "inter_plane_copy", start, 0.0,
+                 {"src_plane": src, "dst_plane": dst}, None, "i")
+    return end
+
+
+def _clock_state(clock):
+    return (
+        [float.hex(x) for x in clock.plane_free],
+        [float.hex(x) for x in clock.channel_free],
+        [float.hex(x) for x in clock.die_bus_free],
+        dataclasses.asdict(clock.counters),
+    )
+
+
+def _copy_chains(geometry, seed):
+    """Seeded (src_planes, dst_plane, start) chains: random sources plus
+    the corner cases (sources on the destination plane, sources sharing
+    its channel, an empty chain)."""
+    rng = random.Random(seed)
+    planes = range(geometry.num_planes)
+    chains = []
+    for _ in range(30):
+        dst = rng.randrange(geometry.num_planes)
+        n = rng.choice((0, 1, 2, 7, 64))
+        kind = rng.choice(("random", "same-plane", "same-channel"))
+        if kind == "same-plane":
+            pool = [dst]
+        elif kind == "same-channel":
+            pool = [p for p in planes
+                    if geometry.plane_to_channel(p) == geometry.plane_to_channel(dst)]
+        else:
+            pool = list(planes)
+        srcs = [rng.choice(pool) for _ in range(n)]
+        chains.append((srcs, dst, rng.uniform(0.0, 5_000.0) * rng.randrange(2)))
+    chains.append(([], 0, 123.0))
+    return chains
+
+
+def _assert_fold_matches_scalar(geometry, timing, die_aware, seed):
+    batch = FlashTimekeeper(geometry, timing, die_aware=die_aware)
+    scalar = FlashTimekeeper(geometry, timing, die_aware=die_aware)
+    for srcs, dst, start in _copy_chains(geometry, seed):
+        end = batch.inter_plane_copies(srcs, dst, start)
+        expect = start
+        for src in srcs:
+            expect = _scalar_copy(scalar, src, dst, expect)
+        assert float.hex(end) == float.hex(expect)
+        assert _clock_state(batch) == _clock_state(scalar)
+    assert batch.counters.interplane_copies > 0
+
+
+@pytest.mark.parametrize("seed", (1, 7, 42))
+def test_inter_plane_copies_bit_identical_to_scalar_chain(small_geometry, timing, seed):
+    _assert_fold_matches_scalar(small_geometry, timing, False, seed)
+
+
+@pytest.mark.parametrize("seed", (3, 11))
+def test_inter_plane_copies_bit_identical_die_aware(timing, seed):
+    _assert_fold_matches_scalar(multi_chip_geometry(), timing, True, seed)
+
+
+def test_inter_plane_copies_emit_the_scalar_event_sequence(small_geometry, timing):
+    srcs = [0, 2, 2, 1, 3, 1]
+    with BUS.capture() as batch_events:
+        FlashTimekeeper(small_geometry, timing).inter_plane_copies(srcs, 1, 10.0)
+    with BUS.capture() as scalar_events:
+        clock, t = FlashTimekeeper(small_geometry, timing), 10.0
+        for src in srcs:
+            t = _scalar_copy(clock, src, 1, t)
+    assert len(batch_events) == 5 * len(srcs)
+    assert batch_events == scalar_events
