@@ -17,7 +17,6 @@ from collections import defaultdict
 from typing import Iterable, List
 
 from repro.core.dloop import DloopFtl
-from repro.flash.commands import multi_plane_program
 
 
 class MultiPlaneDloopFtl(DloopFtl):
@@ -73,7 +72,7 @@ class MultiPlaneDloopFtl(DloopFtl):
             new_ppn = self._host_allocator(plane, lpn).allocate(lpn)
             staged.append((lpn, old_ppn, new_ppn))
             self.stats.host_writes += 1
-        t = multi_plane_program(self.clock, planes, t)
+        t = self.clock.multi_plane_program(planes, t)
         for lpn, old_ppn, new_ppn in staged:
             if old_ppn != -1:
                 self.array.invalidate(old_ppn)

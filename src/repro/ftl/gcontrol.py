@@ -98,7 +98,7 @@ def select_victim(
     if policy == "greedy":
         # Scalar scan: a plane holds ~10^2 blocks, far below numpy's
         # break-even, and greedy runs on every foreground GC pass.
-        # Ties break on the lowest block id (matches np.argmax).
+        # Ties break on the lowest block id.
         blocks = array.plane_blocks(plane)
         block_invalid = array.block_invalid
         block_valid = array.block_valid
@@ -137,9 +137,7 @@ def select_victim(
     if not eligible.any():
         return None
     candidates = np.flatnonzero(eligible)
-    if policy == "greedy":
-        pick = candidates[int(np.argmax(invalid[candidates]))]
-    elif policy == "cost-benefit":
+    if policy == "cost-benefit":
         valid = array.block_valid_np[blocks.start : blocks.stop].astype(np.float64)
         stamps = array.block_write_stamp_np[blocks.start : blocks.stop].astype(np.float64)
         age = (array.write_stamp + 1) - stamps

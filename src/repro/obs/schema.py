@@ -171,7 +171,6 @@ class EventSchema:
 
 
 _TIMEKEEPER = ("repro.flash.timekeeper",)
-_COMMANDS = ("repro.flash.commands",)
 _ARRAY = ("repro.flash.array",)
 _CONTROLLER = ("repro.controller.controller",)
 _BASE_FAST = ("repro.ftl.base", "repro.ftl.fast")
@@ -276,31 +275,31 @@ _SCHEMAS: Tuple[EventSchema, ...] = (
     EventSchema(
         CAT_FLASH, EV_MP_READ,
         {"plane": "plane", "channel": "channel"},
-        ph="X", modules=_COMMANDS, export_only=True,
+        ph="X", modules=_TIMEKEEPER, export_only=True,
         description="multi-plane read: per-plane sense + stream-out span",
     ),
     EventSchema(
         CAT_FLASH, EV_MP_PROGRAM,
         {"plane": "plane", "channel": "channel"},
-        ph="X", modules=_COMMANDS, export_only=True,
+        ph="X", modules=_TIMEKEEPER, export_only=True,
         description="multi-plane program: per-plane program span",
     ),
     EventSchema(
         CAT_FLASH, EV_MP_ERASE,
         {"plane": "plane", "channel": "channel"},
-        ph="X", modules=_COMMANDS, export_only=True,
+        ph="X", modules=_TIMEKEEPER, export_only=True,
         description="multi-plane erase: per-plane erase span",
     ),
     EventSchema(
         CAT_FLASH, EV_MP_XFER_IN,
         {"plane": "plane", "channel": "channel"},
-        ph="X", modules=_COMMANDS, export_only=True,
+        ph="X", modules=_TIMEKEEPER, export_only=True,
         description="multi-plane program: serialized data-in transfer",
     ),
     EventSchema(
         CAT_FLASH, EV_MP_XFER_OUT,
         {"plane": "plane", "channel": "channel"},
-        ph="X", modules=_COMMANDS, export_only=True,
+        ph="X", modules=_TIMEKEEPER, export_only=True,
         description="multi-plane read: serialized data-out transfer",
     ),
     # ---- array (shadow-NAND model input; ts is always 0) -----------------

@@ -3,9 +3,11 @@
 The scalar hot path costs ~15 Python calls per host page (controller →
 FTL → translation manager → CMT → allocator → array → timekeeper).
 :class:`DloopKernel` collapses that stack into straight-line code
-working directly on the flat stores PR 3 introduced: the ``array('q')``
-page table and GTD, the ``bytearray`` page states, the plain-list
-resource timelines.  Rare branches (new block from the pool, GC passes,
+working directly on the flat stores: the ``array('q')`` page table and
+GTD, the ``bytearray`` page states, the CMT's OrderedDicts.  Flash time
+is not inlined: every read, program and copy-back is priced by the
+device's :class:`~repro.flash.timekeeper.FlashTimekeeper`, the one
+timing model.  Rare branches (new block from the pool, GC passes,
 allocation overflow, erases) delegate to the existing scalar methods,
 so their semantics — and their bugs — stay single-sourced.
 
@@ -16,11 +18,9 @@ Every fingerprinted quantity must be *bit-identical* with the kernel on
 or off (``BENCH_seed.json`` gates this in CI; the equivalence sweep in
 ``tests/test_kernels.py`` gates it per FTL/configuration):
 
-* Float folds replicate the scalar sequence exactly: the same
-  ``max``/add chains, in the same order, on the same Python floats.
-  ``a if a > b else b`` equals ``max(a, b)`` bit-for-bit here because
-  simulated times are never ``-0.0`` (all times are sums of
-  non-negative latencies starting at 0.0).
+* Flash operations are priced by the same timekeeper calls, in the
+  same order, as the scalar path makes them (a multi-page request
+  prices each page when it is placed).
 * CMT mutations are inlined against the segmented-LRU OrderedDicts in
   the *same* order the scalar methods apply them, including protected-
   overflow demotion and the post-promotion dirty marking.
@@ -91,16 +91,8 @@ class DloopKernel:
         self.num_lpns = geometry.num_lpns
         self.ppb = geometry.pages_per_block
         self.pages_per_plane = geometry.physical_blocks_per_plane * geometry.pages_per_block
-        self.plane_channel = [geometry.plane_to_channel(p) for p in range(geometry.num_planes)]
-        # Timing constants (pure functions of the frozen TimingParams).
-        self.page_xfer = clock._page_xfer
-        self.read_us = ftl.timing.page_read_us
-        self.program_us = ftl.timing.page_program_us
-        self.copyback_us = ftl.timing.copy_back_us()
-        # Resource timelines and counters: reset mutates these in place,
-        # so the references stay valid across measurement resets.
-        self.plane_free = clock.plane_free
-        self.channel_free = clock.channel_free
+        # Reset mutates the counters in place, so the reference stays
+        # valid across measurement resets.
         self.counters = clock.counters
         # Physical state stores (stable buffers / containers).
         self.page_state = ftl.array.page_state
@@ -111,48 +103,6 @@ class DloopKernel:
         self.block_write_stamp = ftl.array.block_write_stamp
         self.pools = ftl.array._free_pools
         self.allocators = ftl.allocators
-
-    # ---- timing folds (exact scalar sequences) ---------------------------
-
-    def _read_timing(self, plane: int, start: float) -> float:
-        # Mirrors FlashTimekeeper.read_page with die_aware=False.
-        plane_free = self.plane_free
-        pf = plane_free[plane]
-        sense_start = start if start > pf else pf
-        sense_end = sense_start + self.read_us
-        channel = self.plane_channel[plane]
-        channel_free = self.channel_free
-        cf = channel_free[channel]
-        xfer_start = sense_end if sense_end > cf else cf
-        end = xfer_start + self.page_xfer
-        plane_free[plane] = end
-        channel_free[channel] = end
-        counters = self.counters
-        counters.reads += 1
-        counters.channel_busy_us[channel] += end - xfer_start
-        counters.plane_ops[plane] += 1
-        counters.plane_busy_us[plane] += end - sense_start
-        return end
-
-    def _program_timing(self, plane: int, start: float) -> float:
-        # Mirrors FlashTimekeeper.program_page with die_aware=False.
-        channel = self.plane_channel[plane]
-        channel_free = self.channel_free
-        cf = channel_free[channel]
-        xfer_start = start if start > cf else cf
-        xfer_end = xfer_start + self.page_xfer
-        channel_free[channel] = xfer_end
-        plane_free = self.plane_free
-        pf = plane_free[plane]
-        prog_start = xfer_end if xfer_end > pf else pf
-        end = prog_start + self.program_us
-        plane_free[plane] = end
-        counters = self.counters
-        counters.programs += 1
-        counters.channel_busy_us[channel] += xfer_end - xfer_start
-        counters.plane_ops[plane] += 1
-        counters.plane_busy_us[plane] += end - xfer_start
-        return end
 
     # ---- array state transitions (checks elided; the scalar path and the
     # equivalence sweep gate correctness) ----------------------------------
@@ -211,24 +161,7 @@ class DloopKernel:
         tvpn = lpn // self.entries_per_tpage
         tppn = self.gtd_ppn[tvpn]
         if tppn != -1:
-            # inlined _read_timing of the translation page
-            plane = tppn // self.pages_per_plane
-            plane_free = self.plane_free
-            pf = plane_free[plane]
-            sense_start = t if t > pf else pf
-            sense_end = sense_start + self.read_us
-            channel = self.plane_channel[plane]
-            channel_free = self.channel_free
-            cf = channel_free[channel]
-            xfer_start = sense_end if sense_end > cf else cf
-            t = xfer_start + self.page_xfer
-            plane_free[plane] = t
-            channel_free[channel] = t
-            counters = self.counters
-            counters.reads += 1
-            counters.channel_busy_us[channel] += t - xfer_start
-            counters.plane_ops[plane] += 1
-            counters.plane_busy_us[plane] += t - sense_start
+            t = self.clock.read_page(tppn // self.pages_per_plane, t)
             self.tm.stats.tpage_reads += 1
         probation[lpn] = False
         return t
@@ -287,28 +220,11 @@ class DloopKernel:
             t = ftl._maybe_gc(plane, now)
         gtd_ppn = self.gtd_ppn
         tstats = self.tm.stats
-        plane_free = self.plane_free
-        channel_free = self.channel_free
-        plane_channel = self.plane_channel
-        counters = self.counters
-        page_xfer = self.page_xfer
+        clock = self.clock
         old_ppn = gtd_ppn[tvpn]
         if old_ppn != -1:
-            # inlined _read_timing of the stale translation page
-            old_plane = old_ppn // self.pages_per_plane
-            pf = plane_free[old_plane]
-            sense_start = t if t > pf else pf
-            sense_end = sense_start + self.read_us
-            channel = plane_channel[old_plane]
-            cf = channel_free[channel]
-            xfer_start = sense_end if sense_end > cf else cf
-            t = xfer_start + page_xfer
-            plane_free[old_plane] = t
-            channel_free[channel] = t
-            counters.reads += 1
-            counters.channel_busy_us[channel] += t - xfer_start
-            counters.plane_ops[old_plane] += 1
-            counters.plane_busy_us[old_plane] += t - sense_start
+            # read the stale translation page
+            t = clock.read_page(old_ppn // self.pages_per_plane, t)
             tstats.tpage_reads += 1
             # inlined _invalidate
             old_block = old_ppn // self.ppb
@@ -326,20 +242,7 @@ class DloopKernel:
             block = self.array.allocate_block(plane)
             allocator.current_block = block
         new_ppn = self._program_state(block, write_ptr[block], owner)
-        # inlined _program_timing
-        channel = plane_channel[plane]
-        cf = channel_free[channel]
-        xfer_start = t if t > cf else cf
-        xfer_end = xfer_start + page_xfer
-        channel_free[channel] = xfer_end
-        pf = plane_free[plane]
-        prog_start = xfer_end if xfer_end > pf else pf
-        t = prog_start + self.program_us
-        plane_free[plane] = t
-        counters.programs += 1
-        counters.channel_busy_us[channel] += xfer_end - xfer_start
-        counters.plane_ops[plane] += 1
-        counters.plane_busy_us[plane] += t - xfer_start
+        t = clock.program_page(plane, t)
         tstats.tpage_writes += 1
         gtd_ppn[tvpn] = new_ppn
         if ftl._gc_planes:
@@ -360,7 +263,7 @@ class DloopKernel:
             raise _out_of_space() from exc
         tstats.offpolicy_tpage_writes += 1
         actual_plane = new_ppn // self.pages_per_plane
-        t = self._program_timing(actual_plane, t)
+        t = self.clock.program_page(actual_plane, t)
         tstats.tpage_writes += 1
         self.gtd_ppn[tvpn] = new_ppn
         if ftl._gc_planes:
@@ -381,7 +284,7 @@ class DloopKernel:
         if ppn == -1:
             ftl.stats.unmapped_reads += 1
             return t
-        return self._read_timing(ppn // self.pages_per_plane, t)
+        return self.clock.read_page(ppn // self.pages_per_plane, t)
 
     def write_page(self, lpn: int, start: float) -> float:
         ftl = self.ftl
@@ -418,23 +321,7 @@ class DloopKernel:
                 ) from exc
             allocator.current_block = block
         new_ppn = self._program_state(block, write_ptr[block], lpn)
-        # inlined _program_timing
-        channel = self.plane_channel[plane]
-        channel_free = self.channel_free
-        cf = channel_free[channel]
-        xfer_start = t if t > cf else cf
-        xfer_end = xfer_start + self.page_xfer
-        channel_free[channel] = xfer_end
-        plane_free = self.plane_free
-        pf = plane_free[plane]
-        prog_start = xfer_end if xfer_end > pf else pf
-        t = prog_start + self.program_us
-        plane_free[plane] = t
-        counters = self.counters
-        counters.programs += 1
-        counters.channel_busy_us[channel] += xfer_end - xfer_start
-        counters.plane_ops[plane] += 1
-        counters.plane_busy_us[plane] += t - xfer_start
+        t = self.clock.program_page(plane, t)
         if old_ppn != -1:
             # inlined _invalidate
             old_block = old_ppn // self.ppb
@@ -452,14 +339,14 @@ class DloopKernel:
             t = ftl._maybe_gc(plane, t)
         return t
 
-    # ---- multi-page requests (batched timing windows) --------------------
+    # ---- multi-page requests ---------------------------------------------
     #
     # Within one host request every sub-page is served from the same
-    # ``start``.  For stretches where a page's only flash operation is
-    # its own data read/program (CMT hit, no GC trigger), the timing
-    # folds are deferred and flushed through the FlashTimekeeper batch
-    # API in one call; any page that needs mapping traffic or GC first
-    # flushes the window, preserving the scalar fold order globally.
+    # ``start``.  A page whose only flash operation is its own data
+    # read/program (CMT hit, no GC trigger) takes the inlined fast path
+    # and is priced by the clock as it is placed; any other page runs
+    # the single-page path.  Pages are priced in request order, the
+    # scalar fold order.
 
     def read_pages(self, lpns, start: float) -> float:
         ftl = self.ftl
@@ -471,8 +358,8 @@ class DloopKernel:
         page_table = self.page_table
         num_lpns = self.num_lpns
         pages_per_plane = self.pages_per_plane
+        read_page = self.clock.read_page
         completion = start
-        window: list = []  # deferred planes, in page order
         for lpn in lpns:
             if (lpn in protected or lpn in probation) and 0 <= lpn < num_lpns:
                 stats.host_reads += 1
@@ -488,21 +375,12 @@ class DloopKernel:
                 ppn = page_table[lpn]
                 if ppn == -1:
                     stats.unmapped_reads += 1
-                else:
-                    window.append(ppn // pages_per_plane)
-                continue
-            if window:
-                for end in self.clock.read_pages(window, start):
-                    if end > completion:
-                        completion = end
-                window.clear()
-            end = self.read_page(lpn, start)
+                    continue
+                end = read_page(ppn // pages_per_plane, start)
+            else:
+                end = self.read_page(lpn, start)
             if end > completion:
                 completion = end
-        if window:
-            for end in self.clock.read_pages(window, start):
-                if end > completion:
-                    completion = end
         return completion
 
     def write_pages(self, lpns, start: float) -> float:
@@ -527,8 +405,8 @@ class DloopKernel:
         num_lpns = self.num_lpns
         num_planes = self.num_planes
         ppb = self.ppb
+        program_page = self.clock.program_page
         completion = start
-        window: list = []  # deferred planes, in page order
         for lpn in lpns:
             plane = lpn % num_planes
             # Fast-path preconditions, checked before any mutation so a
@@ -569,7 +447,9 @@ class DloopKernel:
                     block_valid[block] += 1
                     array.write_stamp = stamp = array.write_stamp + 1
                     block_write_stamp[block] = stamp
-                    window.append(plane)
+                    end = program_page(plane, start)
+                    if end > completion:
+                        completion = end
                     if old_ppn != -1:
                         # inlined _invalidate
                         old_block = old_ppn // ppb
@@ -590,31 +470,17 @@ class DloopKernel:
                         gc_pending.add(plane)
                     elif array.gc_low_plane_count:
                         # The allocation crossed the GC watermark: the
-                        # pass must run at this page's completion time.
-                        ends = self.clock.program_pages(window, start)
-                        window.clear()
-                        for end in ends:
-                            if end > completion:
-                                completion = end
-                        t = ftl._maybe_gc(plane, ends[-1])
+                        # pass runs at this page's completion time.
+                        t = ftl._maybe_gc(plane, end)
                         if t > completion:
                             completion = t
                     continue
-            if window:
-                for end in self.clock.program_pages(window, start):
-                    if end > completion:
-                        completion = end
-                window.clear()
             # Scalar semantics on any exception: pages already placed
             # stay placed and their timeline advances persist; the
             # request fails as a unit.
             end = self.write_page(lpn, start)
             if end > completion:
                 completion = end
-        if window:
-            for end in self.clock.program_pages(window, start):
-                if end > completion:
-                    completion = end
         return completion
 
     # ---- garbage collection (copy-back pass) ------------------------------
@@ -630,11 +496,8 @@ class DloopKernel:
         block_invalid = self.block_invalid
         block_write_stamp = self.block_write_stamp
         write_ptr = self.block_write_ptr
-        plane_free = self.plane_free
-        copyback_us = self.copyback_us
         counters = self.counters
-        plane_ops = counters.plane_ops
-        plane_busy_us = counters.plane_busy_us
+        copy_back = self.clock.copy_back
         gc_stats = ftl.gc_stats
         page_table = self.page_table
         gtd_ppn = self.gtd_ppn
@@ -740,15 +603,7 @@ class DloopKernel:
                     if skipped:
                         gc_stats.wasted_pages += skipped
                         counters.skipped_pages += skipped
-                    # copy_back timing fold
-                    pf = plane_free[plane]
-                    op_start = t if t > pf else pf
-                    end = op_start + copyback_us
-                    plane_free[plane] = end
-                    counters.copybacks += 1
-                    plane_ops[plane] += 1
-                    plane_busy_us[plane] += end - op_start
-                    t = end
+                    t = copy_back(plane, t)
                     gc_stats.copyback_moves += 1
             # inlined _invalidate of the source page
             src_block = ppn // ppb

@@ -10,28 +10,24 @@ bit-identical to ``batch_kernels=False`` — same determinism fingerprint
 (final clock repr, flash/GC counters, mapping-table CRCs), same
 completed count, same request-stats accumulators down to the last
 Welford update and reservoir slot.
-
-The same file pins the supporting :class:`FlashTimekeeper` batch APIs
-against per-op scalar calls (same completion times, same timelines,
-same counters).
 """
 
 from __future__ import annotations
 
-import random
+import sys
 
 import pytest
 
 from repro.controller.controller import RequestStats
 from repro.controller.device import SimulatedSSD
 from repro.flash.geometry import SSDGeometry
-from repro.flash.timekeeper import FlashTimekeeper
 from repro.flash.timing import TimingParams
 from functools import lru_cache
 
 from repro.ftl.registry import available_ftls, create_ftl
 from repro.metrics.streaming import StreamingRequestStats
 from repro.perf.fingerprint import engine_fingerprint, ftl_fingerprint
+from repro.perf.kernels import DloopKernel
 from repro.traces.model import KB, SizeMix, WorkloadSpec
 from repro.traces.stream import io_requests, stream_workload
 
@@ -108,7 +104,7 @@ def _stats_snapshot(stats) -> tuple:
 
 
 def _replay(ftl_name: str, mode: str, faults: bool, batch_kernels: bool,
-            *, n: int = 1200, sanitize: bool = False) -> dict:
+            *, n: int = 1200, sanitize: bool = False, watch=None) -> dict:
     geometry = _geometry()
     ssd = SimulatedSSD(
         geometry,
@@ -119,6 +115,8 @@ def _replay(ftl_name: str, mode: str, faults: bool, batch_kernels: bool,
         sanitize=sanitize,
     )
     ssd.precondition(0.5)
+    if watch is not None:
+        watch(ssd)
     requests = io_requests(stream_workload(_spec(geometry, n=n)), geometry)
     if mode == "materialized":
         end = ssd.run(list(requests))
@@ -178,44 +176,32 @@ def test_dloop_kernel_actually_engages():
     assert off.ftl._kernel is None
 
 
+def test_sweep_crosses_the_gc_watermark_mid_request():
+    # Guard against the sweep missing the kernel's watermark branch: a
+    # multi-page write whose fast-path page crosses the GC watermark,
+    # with pages of the same request placed before and after it, runs
+    # the GC pass at that page's completion time.
+    crossings = []
+
+    def watch(ssd):
+        maybe_gc = ssd.ftl._maybe_gc
+
+        def spy(plane, now):
+            caller = sys._getframe(1)
+            if caller.f_code is DloopKernel.write_pages.__code__:
+                lpns = caller.f_locals["lpns"]
+                crossings.append((lpns.index(caller.f_locals["lpn"]), len(lpns)))
+            return maybe_gc(plane, now)
+
+        ssd.ftl._maybe_gc = spy
+
+    _replay("dloop", "materialized", False, batch_kernels=True, watch=watch)
+    assert any(0 < index < pages - 1 for index, pages in crossings), crossings
+
+
 def test_faults_detach_the_kernel():
     geometry = _geometry()
     ssd = SimulatedSSD(
         geometry, TimingParams(), ftl="dloop", batch_kernels=True, faults=FAULTS
     )
     assert ssd.ftl._kernel is None
-
-
-# ---- timekeeper batch APIs vs scalar ---------------------------------------
-
-
-def _random_planes(geometry: SSDGeometry, n: int, seed: int) -> list:
-    rng = random.Random(seed)
-    return [rng.randrange(geometry.num_planes) for _ in range(n)]
-
-
-@pytest.mark.parametrize("batch_op,scalar_op", (
-    ("read_pages", "read_page"),
-    ("program_pages", "program_page"),
-))
-def test_timekeeper_batch_matches_scalar(batch_op, scalar_op):
-    geometry = _geometry()
-    timing = TimingParams()
-    planes = _random_planes(geometry, 200, seed=42)
-
-    batch_clock = FlashTimekeeper(geometry, timing)
-    scalar_clock = FlashTimekeeper(geometry, timing)
-    start = 0.0
-    batch_ends = []
-    scalar_ends = []
-    # Several windows so later windows start from advanced timelines.
-    for lo in range(0, len(planes), 50):
-        window = planes[lo:lo + 50]
-        batch_ends.extend(getattr(batch_clock, batch_op)(window, start))
-        scalar_ends.extend(getattr(scalar_clock, scalar_op)(p, start) for p in window)
-        start = max(batch_ends[-1], 1.0)
-
-    assert list(map(repr, batch_ends)) == list(map(repr, scalar_ends))
-    assert batch_clock.plane_free == scalar_clock.plane_free
-    assert batch_clock.channel_free == scalar_clock.channel_free
-    assert batch_clock.counters.as_dict() == scalar_clock.counters.as_dict()

@@ -144,7 +144,7 @@ def test_custom_timing_parameters(small_geometry):
     assert clock.program_page(1, 0.0) == pytest.approx(100.0)
 
 
-# ---- die-aware fidelity (chip serial bus, Fig. 1b) ----------------------------
+# ---- several chips per channel (chip serial bus, Fig. 1b) --------------------
 
 
 def multi_chip_geometry():
@@ -164,45 +164,15 @@ def multi_chip_geometry():
     )
 
 
-def test_die_aware_noop_for_single_chip(small_geometry, timing):
-    simple = FlashTimekeeper(small_geometry, timing)
-    aware = FlashTimekeeper(small_geometry, timing, die_aware=True)
-    for plane in (0, 1, 0, 2, 3):
-        assert simple.program_page(plane, 0.0) == pytest.approx(
-            aware.program_page(plane, 0.0)
-        )
-
-
-def test_die_aware_serialises_same_die_transfers(timing):
+def test_same_die_transfers_serialise_on_the_channel(timing):
     geom = multi_chip_geometry()
-    clock = FlashTimekeeper(geom, timing, die_aware=True)
+    clock = FlashTimekeeper(geom, timing)
     die0_planes = list(geom.planes_of_die(0))
     end0 = clock.program_page(die0_planes[0], 0.0)
     end1 = clock.program_page(die0_planes[1], 0.0)
-    # same die: second transfer waits for the die bus, programs overlap
-    assert end1 > 0
+    # same die: the second transfer waits for the bus, programs overlap
     xfer = timing.page_transfer_us(geom.page_size)
     assert end1 == pytest.approx(end0 + xfer)
-
-
-def test_die_bus_separate_from_channel(timing):
-    """Same channel, different dies: the shared channel still serialises
-    transfers, so die-awareness adds no extra delay there."""
-    geom = multi_chip_geometry()
-    aware = FlashTimekeeper(geom, timing, die_aware=True)
-    simple = FlashTimekeeper(geom, timing)
-    d0 = list(geom.planes_of_die(0))[0]
-    d1 = list(geom.planes_of_die(1))[0]
-    assert aware.program_page(d0, 0.0) == pytest.approx(simple.program_page(d0, 0.0))
-    assert aware.program_page(d1, 0.0) == pytest.approx(simple.program_page(d1, 0.0))
-
-
-def test_die_aware_reset(timing):
-    geom = multi_chip_geometry()
-    clock = FlashTimekeeper(geom, timing, die_aware=True)
-    clock.program_page(0, 0.0)
-    clock.reset_measurements()
-    assert max(clock.die_bus_free) == 0.0
 
 
 # ---- batched controller copies (inter_plane_copies) ---------------------------
@@ -223,7 +193,6 @@ def _clock_state(clock):
     return (
         [float.hex(x) for x in clock.plane_free],
         [float.hex(x) for x in clock.channel_free],
-        [float.hex(x) for x in clock.die_bus_free],
         dataclasses.asdict(clock.counters),
     )
 
@@ -252,9 +221,9 @@ def _copy_chains(geometry, seed):
     return chains
 
 
-def _assert_fold_matches_scalar(geometry, timing, die_aware, seed):
-    batch = FlashTimekeeper(geometry, timing, die_aware=die_aware)
-    scalar = FlashTimekeeper(geometry, timing, die_aware=die_aware)
+def _assert_fold_matches_scalar(geometry, timing, seed):
+    batch = FlashTimekeeper(geometry, timing)
+    scalar = FlashTimekeeper(geometry, timing)
     for srcs, dst, start in _copy_chains(geometry, seed):
         end = batch.inter_plane_copies(srcs, dst, start)
         expect = start
@@ -267,12 +236,9 @@ def _assert_fold_matches_scalar(geometry, timing, die_aware, seed):
 
 @pytest.mark.parametrize("seed", (1, 7, 42))
 def test_inter_plane_copies_bit_identical_to_scalar_chain(small_geometry, timing, seed):
-    _assert_fold_matches_scalar(small_geometry, timing, False, seed)
-
-
-@pytest.mark.parametrize("seed", (3, 11))
-def test_inter_plane_copies_bit_identical_die_aware(timing, seed):
-    _assert_fold_matches_scalar(multi_chip_geometry(), timing, True, seed)
+    # one channel per die, and two dies sharing one channel
+    for geometry in (small_geometry, multi_chip_geometry()):
+        _assert_fold_matches_scalar(geometry, timing, seed)
 
 
 def test_inter_plane_copies_emit_the_scalar_event_sequence(small_geometry, timing):
